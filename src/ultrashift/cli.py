@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import corpus, dsl, sampling
 from .codes import (
@@ -29,13 +28,13 @@ from .codes import (
     eval_map,
     validate_partition,
 )
-from .definable import SetOracle, refute_finitely_defined, audit_refutation
+from .definable import (AuditError, SetOracle, audit_refutation,
+                        refute_finitely_defined)
 from .graphs import MinimalEmitter, validate_ultragraph
 from .intsets import SymbolicSet
 from .paths import enumerate_blocks
 from .points import (
     ConvergenceBounds,
-    FinitePoint,
     RepeatFamily,
     check_convergence,
     length,
@@ -76,17 +75,14 @@ class Report:
         self.command = command
         self.records: list[dict] = []
 
-    def add(self, verdict) -> None:
-        if isinstance(verdict, Verdict):
-            self.records.append(verdict.to_record())
-        else:
-            self.records.append(verdict)
+    def add(self, verdict: Verdict) -> None:
+        self.records.append(verdict.to_record())
 
     def exit_code(self) -> int:
         statuses = {r["status"] for r in self.records}
         if statuses & {FAILS, "error"}:
             return EXIT_FAILS
-        if UNKNOWN in statuses or "inconclusive" in statuses:
+        if UNKNOWN in statuses:
             return EXIT_UNKNOWN
         return EXIT_OK
 
@@ -208,36 +204,28 @@ def cmd_eval(args) -> Report:
     return report
 
 
-def _zero_points(g):
-    emitters, _ = g.minimal_infinite_emitters()
-    return [FinitePoint((), m) for m in emitters]
-
-
-def _check_thunks(kind: str, phi, samples, env) -> list:
-    """Independent checks as thunks, so they can run concurrently."""
+def _check_verdicts(kind: str, phi, samples, env) -> list[Verdict]:
     tries = env.get("tries", 24)
     depth = env.get("depth", 16)
     M = env.get("m_max", 4)
     if kind == "commute":
-        return [lambda: validate_partition(phi, samples),
-                lambda: check_commuting(phi, samples, depth)]
+        return [validate_partition(phi, samples),
+                check_commuting(phi, samples, depth)]
     if kind in ("csc", "genchl"):
-        thunks = [lambda: check_csc_item_i(phi)]
-        for x0 in _zero_points(phi.source):
+        verdicts = [check_csc_item_i(phi)]
+        for x0 in sampling.zero_points(phi.source):
             img = eval_map(phi, x0, 8).prefix[0]
             if isinstance(img, MinimalEmitter):
                 if kind == "csc":
-                    thunks.append(lambda x0=x0: check_csc_item_ii(
+                    verdicts.append(check_csc_item_ii(
                         phi, x0, SymbolicSet.empty(), tries))
                 else:
-                    thunks.append(lambda x0=x0: check_genchl_iia(
-                        phi, x0, tries))
-                    thunks.append(lambda x0=x0: check_genchl_iib(
-                        phi, x0, tries=tries))
-            thunks.append(lambda x0=x0: check_csc_item_iii(phi, x0.tail, M=M))
-        return thunks
+                    verdicts.append(check_genchl_iia(phi, x0, tries))
+                    verdicts.append(check_genchl_iib(phi, x0, tries=tries))
+            verdicts.append(check_csc_item_iii(phi, x0.tail, M=M))
+        return verdicts
     if kind == "length-preserving":
-        return [lambda: check_length_preserving(phi, samples, tries)]
+        return [check_length_preserving(phi, samples, tries)]
     raise SystemExit(f"error: unknown check kind {kind!r}")
 
 
@@ -247,12 +235,7 @@ def cmd_check(args) -> Report:
     env = _env_bounds()
     samples = _sample_pool(phi.source, env.get("samples", 40))
     report = Report(f"check {args.kind}")
-    thunks = _check_thunks(args.kind, phi, samples, env)
-    if args.parallel and len(thunks) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(thunks))) as pool:
-            verdicts = list(pool.map(lambda t: t(), thunks))
-    else:
-        verdicts = [t() for t in thunks]
+    verdicts = _check_verdicts(args.kind, phi, samples, env)
     for v in verdicts:
         report.add(v)
     if args.audit:
@@ -278,7 +261,7 @@ def _audit(phi, v: Verdict) -> Verdict:
             ok = isinstance(sym, MinimalEmitter) and length(v.witness) != 0
             return Verdict(name, HOLDS if ok else FAILS,
                            "witness re-checked" if ok else "mismatch")
-        if v.check in ("commuting", "left-shift-identity"):
+        if v.check == "commuting":
             x, i = v.witness
             lhs = eval_map(phi, shift(x))
             rhs = eval_map(phi, x)
@@ -311,7 +294,7 @@ def cmd_refute_fd(args) -> Report:
             audit_refutation(g, oracle, x, result)
             report.add(Verdict("audit(refute-fd)", HOLDS,
                                "all witnesses re-checked"))
-        except AssertionError as err:
+        except AuditError as err:
             report.add(Verdict("audit(refute-fd)", FAILS, str(err)))
     return report
 
@@ -328,12 +311,9 @@ def cmd_converge(args) -> Report:
     bounds = ConvergenceBounds(m_max=env.get("m_max", 8),
                                n_max=env.get("n_max", 32))
     verdict = check_convergence(g, seq, target, bounds)
+    verdict.check = f"converge({args.seq})"
     report = Report("converge")
-    status = {"holds": HOLDS, "counterexample": FAILS,
-              "unknown": UNKNOWN}[verdict.status]
-    report.add(Verdict(f"converge({args.seq})", status, verdict.detail,
-                       verdict.witness, bounds.as_dict(),
-                       exact=verdict.exact))
+    report.add(verdict)
     return report
 
 
@@ -353,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--audit", action="store_true",
                         help="re-check failure witnesses")
-    common.add_argument("--parallel", action="store_true",
-                        help="run independent checks concurrently")
     ap = argparse.ArgumentParser(
         prog="ultrashift",
         description="ultragraph shift spaces: set algebra, topology, and "

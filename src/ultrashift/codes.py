@@ -16,6 +16,7 @@ concrete, re-checkable witness.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -369,20 +370,6 @@ def check_commuting(phi, samples, depth: int = 16) -> Verdict:
                     f"from coordinate {i + 1} of the image", (x, i), bounds)
     return Verdict("commuting", HOLDS, "images commute with the shift on "
                    "all samples", bounds=bounds)
-
-
-def check_left_shift_identity(phi, samples, depth: int = 12) -> Verdict:
-    """Coordinates 2..n of the image equal coordinates 1..n-1 of the image
-    of the shifted point."""
-    bounds = {"samples": len(samples), "depth": depth}
-    for x in samples:
-        full = eval_map(phi, x, depth + 2)
-        shifted = eval_map(phi, shift(x), depth + 2)
-        for i in range(2, depth):
-            if full.coordinate(i) != shifted.coordinate(i - 1):
-                return Verdict("left-shift-identity", FAILS,
-                               f"coordinate {i}", (x, i), bounds)
-    return Verdict("left-shift-identity", HOLDS, bounds=bounds)
 
 
 def check_period_preservation(phi, x: Point, depth: int = 32) -> Verdict:
@@ -772,14 +759,23 @@ def check_genchl_iia(phi, x_bar: FinitePoint, tries: int = 24,
                        f"image has length {length(img)}")
     B = img.tail
     good = SymbolSet(h.epsilon(B.vertices), (B,))
-    bad = escaping_edges(phi, x_bar.path, x_bar.tail, good, tries)
-    bounds = {"tries": tries, "depth": depth}
+    return _escape_verdict("genchl-iia", phi, x_bar.path, x_bar.tail, good,
+                           {"tries": tries, "depth": depth})
+
+
+def _escape_verdict(check: str, phi, prefix: tuple, tail: MinimalEmitter,
+                    good: SymbolSet, bounds: dict) -> Verdict:
+    """The verdict on the escape set after (prefix, tail): it holds when
+    finitely many extension edges lead outside ``good`` (the witness is
+    that excluded set) and fails when infinitely many do, confirmed by
+    concrete escaping points."""
+    bad = escaping_edges(phi, prefix, tail, good, bounds["tries"])
     if bad.kind == "under":
         if bad.edges.is_empty():
-            return Verdict("genchl-iia", HOLDS,
+            return Verdict(check, HOLDS,
                            "no sampled extension escapes; bounded evidence "
                            "only", SymbolicSet.empty(), bounds)
-        return Verdict("genchl-iia", UNKNOWN,
+        return Verdict(check, UNKNOWN,
                        "sampled escapes found; finiteness undecidable for "
                        "a rule-presented map", bad.edges, bounds)
     if bad.edges.is_finite():
@@ -787,15 +783,16 @@ def check_genchl_iia(phi, x_bar: FinitePoint, tries: int = 24,
                 "oracle classes sampled; bounded evidence only"}[bad.kind]
         if bad.exact:
             note = "exact"
-        return Verdict("genchl-iia", HOLDS,
-                       f"finite escape set; {note}", bad.edges, bounds,
-                       exact=bad.exact)
-    verified = _verify_infinite_escape(phi, x_bar.path, bad.edges, good)
+        return Verdict(check, HOLDS,
+                       f"finite escape set F' = {bad.edges}; {note}",
+                       bad.edges, bounds, exact=bad.exact)
+    verified = _verify_infinite_escape(phi, prefix, bad.edges, good)
     if verified:
-        return Verdict("genchl-iia", FAILS,
-                       "infinitely many extension edges escape the image "
-                       "neighborhood", verified, bounds)
-    return Verdict("genchl-iia", UNKNOWN,
+        return Verdict(check, FAILS,
+                       "infinitely many extension edges escape; every "
+                       "finite excluded set admits an escaping point",
+                       verified, bounds)
+    return Verdict(check, UNKNOWN,
                    "symbolic escape set is infinite but no concrete witness "
                    "was confirmed", bad.edges, bounds)
 
@@ -825,31 +822,8 @@ def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet,
     B = img.tail
     shifted = shift_n(x_bar, l)
     good = SymbolSet(h.epsilon(B.vertices).difference(F), (B,))
-    bad = escaping_edges(phi, shifted.path, x_bar.tail, good, tries)
-    bounds = {"tries": tries, "depth": depth, "F": str(F)}
-    if bad.kind == "under":
-        if bad.edges.is_empty():
-            return Verdict("csc-item-ii", HOLDS,
-                           "no sampled escape; bounded evidence only",
-                           SymbolicSet.empty(), bounds)
-        return Verdict("csc-item-ii", UNKNOWN,
-                       "sampled escapes; finiteness undecidable for a "
-                       "rule-presented map", bad.edges, bounds)
-    if bad.edges.is_finite():
-        note = {"over": "over-approximate", "mixed":
-                "oracle classes sampled; bounded evidence only"}[bad.kind]
-        if bad.exact:
-            note = "exact"
-        return Verdict("csc-item-ii", HOLDS,
-                       f"image containment with F' = {bad.edges}; {note}",
-                       bad.edges, bounds, exact=bad.exact)
-    verified = _verify_infinite_escape(phi, shifted.path, bad.edges, good)
-    if verified:
-        return Verdict("csc-item-ii", FAILS,
-                       "every finite excluded set admits an escaping point",
-                       verified, bounds)
-    return Verdict("csc-item-ii", UNKNOWN, "unconfirmed infinite escape set",
-                   bad.edges, bounds)
+    return _escape_verdict("csc-item-ii", phi, shifted.path, x_bar.tail, good,
+                           {"tries": tries, "depth": depth, "F": str(F)})
 
 
 def compute_A_x(phi, x_bar: FinitePoint, x: Point, tries: int = 24,
@@ -1166,22 +1140,22 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     notes = []
     if strategies is None:
         strategies = _approach_strategies(g, x, bounds, rng)
+    # orbits grow with the sequence index, so give evaluation headroom
+    eval_depth = bounds.depth + 2 * bounds.conv.n_max + 8
     for label, seq in strategies:
-        inward = check_convergence(g, seq, x, bounds.conv)
-        if inward.status != "holds":
+        repeat = isinstance(seq, RepeatFamily)
+        term = functools.cache(seq.at if repeat else seq)
+        # repeat families go in as they are, so their verdicts stay exact
+        inward = check_convergence(g, seq if repeat else term, x, bounds.conv)
+        if inward.status != HOLDS:
             continue  # the strategy did not produce a convergent sequence
 
-        # orbits grow with the sequence index, so give evaluation headroom
-        eval_depth = bounds.depth + 2 * bounds.conv.n_max + 8
-
-        def images(n, _seq=seq):
-            return eval_resolved(phi, _seq.at(n) if isinstance(
-                _seq, RepeatFamily) else _seq(n), eval_depth)
+        def images(n, term=term):
+            return eval_resolved(phi, term(n), eval_depth)
 
         outward = check_convergence(phi.target, images, target, bounds.conv)
-        if outward.status == "counterexample":
-            terms = [seq.at(n) if isinstance(seq, RepeatFamily) else seq(n)
-                     for n in (1, 2, 3)]
+        if outward.status == FAILS:
+            terms = [term(n) for n in (1, 2, 3)]
             return Verdict(
                 "probe-continuity", FAILS,
                 f"strategy '{label}': inputs converge to {x} but images "
@@ -1191,7 +1165,7 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
                             for t in terms],
                  "target": target, "stuck": outward.witness},
                 bounds.as_dict())
-        if outward.status == "unknown":
+        if outward.status == UNKNOWN:
             worst = UNKNOWN
             notes.append(f"{label}: undecided")
         else:

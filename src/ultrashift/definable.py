@@ -23,11 +23,12 @@ from typing import Callable
 
 from .graphs import DEFAULT_CLOSURE_CAP, EdgeRef, Ultragraph
 from .intsets import AffineIndexMap, IDENTITY_MAP, IndexSet, SymbolicSet
-from .paths import Block, Ultrapath, enumerate_blocks
+from .paths import Block, PathError, Ultrapath, bounded_edges, enumerate_blocks
 from .points import (
     Cylinder,
     FinitePoint,
     Point,
+    PointError,
     block_witness,
     concat,
     coordinate,
@@ -41,6 +42,10 @@ from . import sampling
 
 class SchemaError(ValueError):
     pass
+
+
+class AuditError(ValueError):
+    """A refutation witness failed its re-check."""
 
 
 @dataclass(frozen=True)
@@ -129,10 +134,6 @@ class SchemaMatch:
     window: tuple[int, int]
 
 
-def _sym_eq(a, b) -> bool:
-    return a == b
-
-
 def match_schema(s: PcSchema, x: Point, max_rep: int = 64) -> SchemaMatch | None:
     """First successful instantiation of the schema on x, or None.
 
@@ -151,7 +152,7 @@ def match_schema(s: PcSchema, x: Point, max_rep: int = 64) -> SchemaMatch | None
     if prefix and got is None:
         return None
     run = 0
-    while run < max_rep and _sym_eq(coordinate(x, pos + run), rep.symbol):
+    while run < max_rep and coordinate(x, pos + run) == rep.symbol:
         run += 1
     for m in range(1, run + 1):
         tail = _match_fixed(s, suffix, x, pos + m,
@@ -170,7 +171,7 @@ def _match_fixed(s: PcSchema, atoms, x: Point, start: int,
     for i, atom in enumerate(atoms):
         sym = coordinate(x, start + i)
         if isinstance(atom, LitAtom):
-            if not _sym_eq(sym, atom.symbol):
+            if sym != atom.symbol:
                 return None
         elif isinstance(atom, VarAtom):
             if not isinstance(sym, EdgeRef) or sym.family != atom.family:
@@ -500,7 +501,7 @@ def _tie_parameters(s1: PcSchema, s2: PcSchema):
 
 def _unify_atoms(a1, a2, dom: IndexSet | None, param_fix: list):
     if isinstance(a1, LitAtom) and isinstance(a2, LitAtom):
-        return a1 if _sym_eq(a1.symbol, a2.symbol) else None
+        return a1 if a1.symbol == a2.symbol else None
     if isinstance(a1, VarAtom) and isinstance(a2, VarAtom):
         # after tying, equal positions must carry consistent maps
         if a1.family != a2.family:
@@ -530,11 +531,7 @@ def _fill_gaps(g: Ultragraph, atoms: list, gaps: list[int], lo: int,
         yield list(atoms)
         return
     emitters, _ = g.minimal_infinite_emitters()
-    options = [EdgeRef(f, k)
-               for f, s in g.all_edges().entries
-               for k in s.intersect(
-                   IndexSet.between(-index_bound, index_bound)).members()]
-    options += list(emitters)
+    options = bounded_edges(g.all_edges(), index_bound) + list(emitters)
     for combo in itertools.product(options, repeat=len(gaps)):
         filled = list(atoms)
         for pos, sym in zip(gaps, combo):
@@ -591,13 +588,15 @@ def refute_finitely_defined(g: Ultragraph, oracle: SetOracle, x: Point,
 
 def audit_refutation(g: Ultragraph, oracle: SetOracle, x: Point,
                      result: RefutationResult) -> None:
-    """Re-check every witness: window agreement and non-membership."""
+    """Re-check every witness: window agreement and non-membership.
+    Raises AuditError on the first witness that fails."""
     for row in result.rows:
         k, l = row.window
-        assert not oracle(row.witness), f"witness for {row.window} is inside"
+        if oracle(row.witness):
+            raise AuditError(f"witness for {row.window} is inside")
         for i in range(k, l + 1):
-            assert coordinate(row.witness, i) == coordinate(x, i), \
-                f"witness for {row.window} disagrees at {i}"
+            if coordinate(row.witness, i) != coordinate(x, i):
+                raise AuditError(f"witness for {row.window} disagrees at {i}")
 
 
 def _refuting_point(g: Ultragraph, oracle: SetOracle, x: Point, k: int,
@@ -651,6 +650,6 @@ def _window_variants(g: Ultragraph, x: Point, k: int, l: int,
             up = Ultrapath(tuple(b.symbols), g.range_of(b.symbols[-1]))
             try:
                 cand = concat(g, up, shift_n(x, k - 1))
-            except Exception:
+            except (PathError, PointError):
                 continue
             yield cand, f"prefix replaced before position {k}"

@@ -111,7 +111,6 @@ class Document:
     graphs: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     points: dict = field(default_factory=dict)  # name -> (graph name, Point)
-    sources: dict = field(default_factory=dict)  # raw definitions for printing
 
 
 class _Parser:
@@ -184,17 +183,14 @@ class _Parser:
         self.expect("{")
         vfams: dict = {}
         efams: list = []
-        raw = {"vertices": [], "edges": []}
         while not self.peek().kind == "}":
             if self.at_name("vertices"):
                 self.next()
                 vname = self.expect("name").value
                 self.eat_name("over")
-                dom = self.domain()
-                vfams[vname] = dom
-                raw["vertices"].append((vname, dom))
+                vfams[vname] = self.domain()
             elif self.at_name("edges"):
-                efams.append(self.edge_family(vfams, raw))
+                efams.append(self.edge_family(vfams))
             else:
                 self.fail("expected 'vertices' or 'edges'")
         self.expect("}")
@@ -204,7 +200,6 @@ class _Parser:
             self.fail(f"invalid ultragraph {name}: {err}",
                       "guards must partition each index domain")
         self.doc.graphs[name] = g
-        self.doc.sources[name] = ("graph", raw)
 
     def domain(self) -> IndexSet:
         t = self.peek()
@@ -333,7 +328,7 @@ class _Parser:
                 continue
             return SymbolicSet.of(*const_parts), tuple(atoms)
 
-    def edge_family(self, vfams: dict, raw: dict) -> EdgeFamily:
+    def edge_family(self, vfams: dict) -> EdgeFamily:
         self.next()  # 'edges'
         ename = self.expect("name").value
         self.eat_name("over")
@@ -341,7 +336,6 @@ class _Parser:
         self.expect("{")
         sources: list = []
         ranges: list = []
-        raw_cases = {"sources": [], "ranges": []}
         while self.peek().kind != "}":
             if self.at_name("source"):
                 self.next()
@@ -358,7 +352,6 @@ class _Parser:
                     self.next()
                     guard = self.guard()
                 sources.append((guard, fam, m))
-                raw_cases["sources"].append((fam, m, guard))
             elif self.at_name("range"):
                 self.next()
                 const, atoms = self.vset(vfams)
@@ -367,11 +360,9 @@ class _Parser:
                     self.next()
                     guard = self.guard()
                 ranges.append((guard, const, atoms))
-                raw_cases["ranges"].append((const, atoms, guard))
             else:
                 self.fail("expected 'source' or 'range' in an edge family")
         self.expect("}")
-        raw["edges"].append((ename, dom, raw_cases))
         return EdgeFamily(
             ename, dom,
             tuple(SourceCase(g, fam, m)
@@ -423,7 +414,6 @@ class _Parser:
         self.expect("}")
         phi = MapPresentation(g, h, classes, name)
         self.doc.maps[name] = phi
-        self.doc.sources[name] = ("map", (src_name, dst_name))
 
     def map_class(self, g: Ultragraph, h: Ultragraph):
         self.eat_name("class")
@@ -631,7 +621,6 @@ class _Parser:
         self.expect("=")
         pt = self.point_literal(g)
         self.doc.points[name] = (gname, pt)
-        self.doc.sources[name] = ("point", gname)
 
     def point_literal(self, g: Ultragraph):
         kind = self.expect("name", "fin, inf or gen").value
@@ -651,7 +640,7 @@ class _Parser:
                               f"{len(pool)}")
                 tail = pool[0]
             else:
-                tail = self.tail_symbol_g(g)
+                tail = self.tail_symbol(g)
             pt = FinitePoint(tuple(edges), tail)
         elif kind == "inf":
             pre = []
@@ -677,9 +666,6 @@ class _Parser:
         else:
             self.fail("point literals start with fin:, inf: or gen:")
         return pt
-
-    def tail_symbol_g(self, g: Ultragraph) -> MinimalEmitter:
-        return self.tail_symbol(g)
 
     def edge_ref(self, g: Ultragraph) -> EdgeRef:
         t = self.expect("name", "an edge family")

@@ -84,13 +84,6 @@ class Shape:
     def is_const(self) -> bool:
         return self.guard is None
 
-    def instance(self, k: int, vertex_domains) -> SymbolicSet:
-        if self.guard is None:
-            return self.const
-        extra = [(vf, IndexSet.of(m.apply(k)).intersect(vertex_domains[vf]))
-                 for vf, m in self.atoms]
-        return self.const.union(SymbolicSet.of(*extra))
-
     def __str__(self) -> str:
         if self.guard is None:
             return str(self.const)
@@ -165,9 +158,6 @@ class Ultragraph:
         self._cache = {}
 
     # -- elementary queries --------------------------------------------
-
-    def vertex_domain(self, family: str) -> IndexSet:
-        return self.vertex_families[family]
 
     def edge_domain(self, family: str) -> IndexSet:
         return self.edge_families[family].domain

@@ -83,10 +83,6 @@ class IndexSet:
     def nonzero() -> "IndexSet":
         return IndexSet(((None, -1), (1, None)))
 
-    @staticmethod
-    def from_spans(spans: Iterable[tuple[int | None, int | None]]) -> "IndexSet":
-        return IndexSet(_merge_spans(spans))
-
     # -- queries -----------------------------------------------------------
 
     def is_empty(self) -> bool:
@@ -277,9 +273,6 @@ class AffineIndexMap:
         if self.scale == 0:
             raise ValueError("constant maps are not invertible")
         return AffineIndexMap(self.scale, -self.scale * self.offset)
-
-    def is_identity(self) -> bool:
-        return self.scale == 1 and self.offset == 0
 
     def __str__(self) -> str:
         if self.scale == 0:

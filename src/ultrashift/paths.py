@@ -39,19 +39,6 @@ class Ultrapath:
         return f"({inner}{sep}{self.terminal})"
 
 
-def path_range(g: Ultragraph, up: Ultrapath) -> SymbolicSet:
-    return up.terminal
-
-
-def path_source(g: Ultragraph, up: Ultrapath) -> SymbolicSet:
-    """Source of an ultrapath: a single vertex for positive length, the
-    terminal set itself for length zero."""
-    if up.edges:
-        vf, k = g.source(up.edges[0])
-        return SymbolicSet.singleton(vf, k)
-    return up.terminal
-
-
 def edges_adjacent(g: Ultragraph, prev: EdgeRef, nxt: EdgeRef) -> bool:
     return g.source_in(nxt, g.range_of(prev))
 
@@ -182,12 +169,19 @@ def validate_block(g: Ultragraph, b: Block,
     return problems
 
 
-def _bounded_edges(g: Ultragraph, edges: SymbolicSet, bound: int):
-    out = []
-    for fam, iset in edges.entries:
-        clipped = iset.intersect(IndexSet.between(-bound, bound))
-        out.extend(EdgeRef(fam, k) for k in clipped.members())
-    return out
+def bounded_edges(edges: SymbolicSet, bound: int,
+                  widen: int = 0) -> list[EdgeRef]:
+    """The edges of ``edges`` with index in [-bound, bound].  When there
+    are none, the bound is multiplied by four, at most ``widen`` times."""
+    for _ in range(widen + 1):
+        out = [EdgeRef(fam, k)
+               for fam, iset in edges.entries
+               for k in iset.intersect(IndexSet.between(-bound, bound))
+               .members()]
+        if out:
+            return out
+        bound *= 4
+    return []
 
 
 def enumerate_blocks(g: Ultragraph, n: int, index_bound: int,
@@ -198,7 +192,7 @@ def enumerate_blocks(g: Ultragraph, n: int, index_bound: int,
     if n < 1:
         raise ValueError("block length must be at least 1")
     emitters, _ = g.minimal_infinite_emitters(cap)
-    first: list = _bounded_edges(g, g.all_edges(), index_bound) + list(emitters)
+    first: list = bounded_edges(g.all_edges(), index_bound) + list(emitters)
     words = [[s] for s in first]
     for _ in range(n - 1):
         grown = []
@@ -208,7 +202,7 @@ def enumerate_blocks(g: Ultragraph, n: int, index_bound: int,
                 grown.append(w + [last])
                 continue
             rng = g.range_of(last)
-            for e2 in _bounded_edges(g, g.epsilon(rng), index_bound):
+            for e2 in bounded_edges(g.epsilon(rng), index_bound):
                 grown.append(w + [e2])
             for m in emitters:
                 if m.vertices.subset_of(rng):

@@ -24,6 +24,7 @@ from .graphs import (
 )
 from .intsets import INFINITE, IndexSet, SymbolicSet
 from .paths import Ultrapath, check_concat_compatible, edges_adjacent
+from .verdicts import FAILS, HOLDS, UNKNOWN, Verdict
 
 
 class PointError(ValueError):
@@ -328,17 +329,6 @@ class ConvergenceBounds:
                 "f_list": [str(F) for F in self.f_list]}
 
 
-@dataclass
-class ConvergenceVerdict:
-    status: str  # "holds" | "counterexample" | "unknown"
-    detail: str
-    exact: bool = False
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.status == "holds"
-
-
 @dataclass(frozen=True)
 class RepeatFamily:
     """The sequence x^n = block^n followed by a fixed tail point.
@@ -359,26 +349,16 @@ class RepeatFamily:
         raise PointError("repeat families need finite or periodic tails")
 
 
-def _agreement_depth(x: Point, target: Point, limit: int) -> int:
-    d = 0
-    for i in range(1, limit + 1):
-        if length(x) < i or length(target) < i:
-            break
-        if coordinate(x, i) != coordinate(target, i):
-            break
-        d = i
-    return d
-
-
 def check_convergence(g: Ultragraph, seq, target: Point,
-                      bounds: ConvergenceBounds | None = None) -> ConvergenceVerdict:
+                      bounds: ConvergenceBounds | None = None) -> Verdict:
     """Bounded check that seq(n) converges to target.
 
     For an infinite target the condition per M is eventual prefix agreement
     to depth M; for a finite target (path, A) the condition per finite F is
     that eventually either the term equals the target or it extends the
     target's path by an edge in eps(A) outside F.  ``seq`` is a callable or
-    a RepeatFamily; repeat families get exact certificates.
+    a RepeatFamily; repeat families get exact certificates.  A "fails"
+    carries the witness (n_max, term at n_max, failing condition).
     """
     bounds = bounds or ConvergenceBounds()
     at = seq.at if isinstance(seq, RepeatFamily) else seq
@@ -400,7 +380,7 @@ def check_convergence(g: Ultragraph, seq, target: Point,
             conditions.append((f"escape outside F={F}",
                                _finite_case_condition(g, target, F)))
 
-    worst = "holds"
+    worst = HOLDS
     detail_bits = []
     witness = None
     exact = isinstance(seq, RepeatFamily)
@@ -409,7 +389,7 @@ def check_convergence(g: Ultragraph, seq, target: Point,
         outcomes = [cond(term(n)) for n in range(1, bounds.n_max + 1)]
         if not any(outcomes[half:]):
             # the whole tail of the window fails: divergence up to bounds
-            worst = "counterexample"
+            worst = FAILS
             witness = (bounds.n_max, term(bounds.n_max), name)
             detail_bits.append(f"{name}: fails for every large sampled n")
             exact = exact and _stable(outcomes, half)
@@ -417,14 +397,15 @@ def check_convergence(g: Ultragraph, seq, target: Point,
         last_fail = max((i for i, ok in enumerate(outcomes) if not ok),
                         default=-1)
         if last_fail == len(outcomes) - 1:
-            if worst == "holds":
-                worst = "unknown"
+            if worst == HOLDS:
+                worst = UNKNOWN
             detail_bits.append(f"{name}: still failing at n={bounds.n_max}")
             exact = False
         else:
             detail_bits.append(f"{name}: satisfied for n>{last_fail + 1}")
             exact = exact and _stable(outcomes, half)
-    return ConvergenceVerdict(worst, "; ".join(detail_bits), exact, witness)
+    return Verdict("convergence", worst, "; ".join(detail_bits), witness,
+                   bounds.as_dict(), exact)
 
 
 def _stable(outcomes: list, half: int) -> bool:

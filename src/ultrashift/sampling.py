@@ -12,23 +12,16 @@ import random
 
 from .graphs import EdgeRef, Ultragraph
 from .intsets import IndexSet, SymbolicSet
-from .paths import Ultrapath
+from .paths import Ultrapath, bounded_edges
 from .points import Cylinder, FinitePoint, PeriodicPoint, Point
 
 
-def bounded_members(edges: SymbolicSet, bound: int, widen: int = 3):
-    for _ in range(widen):
-        out = [EdgeRef(f, k)
-               for f, s in edges.entries
-               for k in s.intersect(IndexSet.between(-bound, bound)).members()]
-        if out:
-            return out
-        bound *= 4
-    return []
+# how often a draw may widen its index bound when nothing lies within it
+WIDEN = 2
 
 
 def random_edge(g: Ultragraph, rng: random.Random, bound: int = 8) -> EdgeRef:
-    cands = bounded_members(g.all_edges(), bound)
+    cands = bounded_edges(g.all_edges(), bound, WIDEN)
     if not cands:
         raise ValueError(f"no edges within index bound on {g.name}")
     return rng.choice(cands)
@@ -38,7 +31,7 @@ def random_walk(g: Ultragraph, rng: random.Random, steps: int,
                 bound: int = 8, start: EdgeRef | None = None):
     path = [start or random_edge(g, rng, bound)]
     for _ in range(steps - 1):
-        cands = bounded_members(g.successor_edges(path[-1]), bound)
+        cands = bounded_edges(g.successor_edges(path[-1]), bound, WIDEN)
         if not cands:
             break
         path.append(rng.choice(cands))
@@ -56,7 +49,7 @@ def random_periodic_point(g: Ultragraph, rng: random.Random,
         seen[e] = i
     # close a cycle by returning to an already-visited edge if possible
     last = walk[-1]
-    cands = bounded_members(g.successor_edges(last), bound)
+    cands = bounded_edges(g.successor_edges(last), bound, WIDEN)
     for i, e in enumerate(walk):
         if e in cands:
             return PeriodicPoint(tuple(walk[:i]), tuple(walk[i:]))
@@ -120,7 +113,7 @@ def random_cylinder(g: Ultragraph, rng: random.Random, max_base: int = 3,
                                            IndexSet.of(first[0][1]))))
         base = Ultrapath(tuple(walk), rng.choice(choices))
     eps = g.epsilon(base.terminal)
-    pool = bounded_members(eps, bound)
+    pool = bounded_edges(eps, bound, WIDEN)
     rng.shuffle(pool)
     chosen = pool[:rng.randint(0, min(max_excluded, len(pool)))]
     excluded = SymbolicSet.of(*((e.family, IndexSet.of(e.index))

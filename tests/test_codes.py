@@ -17,7 +17,6 @@ from ultrashift.codes import (
     check_csc_item_iii,
     check_genchl_iia,
     check_genchl_iib,
-    check_left_shift_identity,
     check_length_preserving,
     check_period_preservation,
     compute_A_x,
@@ -170,7 +169,7 @@ def test_prepending_map_does_not_commute():
 
 def test_left_shift_identity_on_fixture_maps():
     for fx in (FA, FB, FD):
-        verdict = check_left_shift_identity(fx.phi, fx.sample_pool(20))
+        verdict = check_commuting(fx.phi, fx.sample_pool(20), depth=12)
         assert verdict.status == "holds"
 
 

@@ -1,8 +1,14 @@
 """Pseudo cylinders, schemas, cylinder decomposition, finite-definedness."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import ultrashift
 
 from ultrashift.corpus import (
     d,
@@ -266,6 +272,32 @@ def test_full_space_oracle_is_inconclusive():
     result = refute_finitely_defined(GA, oracle, ALL_D, 3)
     assert result.status == "inconclusive"
     assert result.rows == [] and len(result.stuck) == 6
+
+
+def test_audit_rejects_a_bogus_witness_under_optimize():
+    # the audit must not rest on assert statements, which python -O strips
+    code = textwrap.dedent("""
+        from ultrashift.corpus import build_fixture
+        from ultrashift.definable import (
+            AuditError, RefutationResult, RefutationRow, audit_refutation)
+        fx = build_fixture("a")
+        all_d = fx.points["all_d"]
+        bogus = RefutationResult(
+            "refuted", [RefutationRow((1, 2), all_d, "the target itself")],
+            "bogus claim", [])
+        try:
+            audit_refutation(fx.source, fx.oracles["C_B"], all_d, bogus)
+        except AuditError as err:
+            print("rejected:", err)
+        else:
+            print("accepted")
+    """)
+    src = os.path.dirname(os.path.dirname(ultrashift.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "rejected: witness for (1, 2) is inside"
 
 
 def test_refutation_requires_membership():

@@ -302,8 +302,7 @@ def test_cli_stdin(monkeypatch, capsys):
 
 
 def test_cli_parallel_check(doc_file):
-    assert main(["check", "genchl", doc_file, "--map", "Phi",
-                 "--parallel"]) == 0
+    assert main(["check", "genchl", doc_file, "--map", "Phi"]) == 0
 
 
 def test_env_bounds_override(doc_file, monkeypatch, capsys):

@@ -387,7 +387,7 @@ def test_convergence_to_zero_length_target_depends_on_excluded_set():
     assert ok.status == "holds"
     bad = check_convergence(GA, fam, target, ConvergenceBounds(
         f_list=(SymbolicSet.singleton("d", 0),)))
-    assert bad.status == "counterexample"
+    assert bad.status == "fails"
 
 
 def test_constant_sequence_converges():
@@ -414,4 +414,4 @@ def test_divergent_sequence_is_flagged():
         return PeriodicPoint((), (f(1),))
 
     verdict = check_convergence(GA, seq, target)
-    assert verdict.status == "counterexample"
+    assert verdict.status == "fails"
