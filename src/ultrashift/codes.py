@@ -231,12 +231,17 @@ class EvalResult:
                        f"{self.note}")
 
 
-def _orbit_closure_depth(x: Point) -> int | None:
-    """Iterations after which the shift orbit provably closes."""
+def _orbit_closure(x: Point) -> tuple[int, int] | None:
+    """Steps (m, m + p) at which the shift orbit of x first repeats: the
+    point reached after m + p shifts is the one reached after m.  Canonical
+    forms fix both numbers, so no point is compared: a finite point of path
+    length L reaches its fixed point after L shifts, and a periodic point
+    with minimal preamble m and primitive cycle p has pairwise distinct
+    shifts before m + p.  None for generator points."""
     if isinstance(x, FinitePoint):
-        return len(x.path) + 2
+        return len(x.path), len(x.path) + 1
     if isinstance(x, PeriodicPoint):
-        return len(x.preamble) + len(x.cycle) + 1
+        return len(x.preamble), len(x.preamble) + len(x.cycle)
     return None
 
 
@@ -247,32 +252,22 @@ def eval_map(phi, x: Point, depth: int | None = None,
     Finite and eventually periodic inputs resolve exactly: their orbits
     reach a fixed point or close a cycle, so the output is a finite point
     (when an emitter symbol appears, which must then persist) or an
-    eventually periodic point.  The default depth is the exact orbit
-    closure depth; generator inputs yield a depth-bounded prefix only."""
-    if depth is None:
-        depth = _orbit_closure_depth(x) or 48
+    eventually periodic point.  ``depth`` bounds generator inputs only
+    (default 48), which yield a depth-bounded prefix."""
+    closes = _orbit_closure(x)
+    if closes is not None:
+        steps = closes[1]
     else:
-        need = _orbit_closure_depth(x)
-        if need is not None and depth < need:
-            depth = need
+        steps = 48 if depth is None else depth
     syms: list = []
-    seen: dict = {}
     cur = x
     emitter_at: int | None = None
-    closes: tuple | None = None
-    for i in range(depth):
-        if not isinstance(cur, GeneratorPoint):
-            if cur in seen:
-                closes = (seen[cur], i)
-                break
-            seen[cur] = i
+    for i in range(steps):
         sym = phi.symbol_at(cur)
         if isinstance(sym, MinimalEmitter) and emitter_at is None:
             emitter_at = i
         syms.append(sym)
         cur = shift(cur)
-    if closes is None and not isinstance(x, GeneratorPoint):
-        raise MapError(f"orbit of {x} did not close within depth {depth}")
     if emitter_at is not None:
         tail = syms[emitter_at]
         # once the orbit closes, checking the computed symbols checks all
@@ -1132,6 +1127,8 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     bounds = bounds or ProbeBounds()
     rng = rng or random.Random(0)
     g = phi.source
+    # every evaluation of this probe reads one symbol memo, dropped on return
+    phi = _SymbolMemo(phi)
     try:
         target = eval_resolved(phi, x, bounds.depth)
     except MapError as err:
@@ -1177,6 +1174,30 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
                        x, bounds.as_dict())
     return Verdict("probe-continuity", worst, "; ".join(notes), None,
                    bounds.as_dict())
+
+
+class _SymbolMemo:
+    """A map whose first-coordinate symbols are memoized at finite and
+    periodic points.  The orbits of one probe's approach terms overlap
+    (the shifts of block^n + tail include block^(n-1) + tail), so their
+    evaluations share most symbols.  Generator points are not memoized."""
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.target = phi.target
+        self.memo: dict = {}
+
+    def symbol_at(self, x: Point):
+        if isinstance(x, GeneratorPoint):
+            return self.phi.symbol_at(x)
+        # equal finite points may name their tails differently, and a rule
+        # may hand the tail back, so the name is part of the key
+        key = x if isinstance(x, PeriodicPoint) else \
+            (x, getattr(x.tail, "name", None))
+        sym = self.memo.get(key)
+        if sym is None:
+            sym = self.memo[key] = self.phi.symbol_at(x)
+        return sym
 
 
 def _approach_strategies(g: Ultragraph, x: Point, bounds: ProbeBounds,
@@ -1231,7 +1252,7 @@ def _swerve_strategies(g, x, bounds: ProbeBounds):
 def _truncate_strategy(g, x, bounds: ProbeBounds):
     def seq(n):
         edges = tuple(coordinate(x, i) for i in range(1, n + 1))
-        tails, _ = g.minimal_emitters_in(g.range_of(edges[-1]))
+        tails, _ = g.range_emitters(edges[-1])
         if tails:
             return FinitePoint(edges, tails[0])
         return x

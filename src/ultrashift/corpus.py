@@ -24,6 +24,7 @@ Fixture summary:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -251,10 +252,19 @@ class Fixture:
         return next(iter(self.maps.values()))
 
     def sample_pool(self, size: int = 40, seed: int = 0) -> list:
-        rng = random.Random(seed)
-        pool = list(self.points.values())
-        pool += sampling.point_pool(self.source, rng, size)
-        return pool
+        return _sample_pool(self.source, self.points, size, seed)
+
+
+def _sample_pool(g: Ultragraph, points: dict, size: int = 40,
+                 seed: int = 0) -> list:
+    """The named points, then a pool sampled from g.  Expectations call it
+    bound to g and the points: a closure over their Fixture would make a
+    reference cycle that keeps the fixture's graphs alive until the cycle
+    collector runs."""
+    rng = random.Random(seed)
+    pool = list(points.values())
+    pool += sampling.point_pool(g, rng, size)
+    return pool
 
 
 def _fixture_a() -> Fixture:
@@ -289,15 +299,16 @@ def _fixture_a() -> Fixture:
     oracles = {
         "C_B": SetOracle(in_c_b, label="preimage of the target tail"),
     }
+    pool = functools.partial(_sample_pool, g, points)
     fx = Fixture(
         "a", g, h, {"phi": phi}, points, sequences, oracles,
         notes=("the map is shift commuting but not continuous at the all-d "
                "point, and the tail-symbol class is not finitely defined"))
     fx.expectations = [
         Expectation("partition", HOLDS,
-                    lambda: validate_partition(phi, fx.sample_pool())),
+                    lambda: validate_partition(phi, pool())),
         Expectation("commuting", HOLDS,
-                    lambda: check_commuting(phi, fx.sample_pool())),
+                    lambda: check_commuting(phi, pool())),
         Expectation("csc-item-i", HOLDS, lambda: check_csc_item_i(phi)),
         Expectation("probe-continuity@all_d", FAILS,
                     lambda: probe_continuity(phi, all_d)),
@@ -339,6 +350,7 @@ def _fixture_b() -> Fixture:
         "C_A": SetOracle(class_membership_oracle(phi, A),
                          label="preimage of the tail symbol"),
     }
+    pool = functools.partial(_sample_pool, g, points)
     fx = Fixture(
         "b", g, g, {"phi": phi}, points, sequences, oracles,
         notes=("continuous and shift commuting, but the tail-symbol class "
@@ -346,7 +358,7 @@ def _fixture_b() -> Fixture:
                "sliding block code"))
     fx.expectations = [
         Expectation("commuting", HOLDS,
-                    lambda: check_commuting(phi, fx.sample_pool())),
+                    lambda: check_commuting(phi, pool())),
         Expectation("probe-continuity@all_zero", HOLDS,
                     lambda: probe_continuity(phi, all_zero)),
         Expectation("refute-fd(C_A)", "refuted",
@@ -354,7 +366,7 @@ def _fixture_b() -> Fixture:
                         g, oracles["C_A"], all_zero, 6)),
         Expectation("length-preserving", FAILS,
                     lambda: check_length_preserving(
-                        phi, fx.sample_pool())),
+                        phi, pool())),
     ]
     return fx
 
@@ -383,6 +395,7 @@ def _fixture_c() -> Fixture:
     ], label="tail-to-edge classes")
     zero = FinitePoint((), A)
     points = {"zero": zero, "all_d": PeriodicPoint((), (d(),))}
+    pool = functools.partial(_sample_pool, g, points)
     fx = Fixture(
         "c", g, h,
         {"phi_finite": finite_classes, "phi_infinite": infinite_classes},
@@ -393,17 +406,17 @@ def _fixture_c() -> Fixture:
     fx.expectations = [
         Expectation("partition(finite)", HOLDS,
                     lambda: validate_partition(finite_classes,
-                                               fx.sample_pool())),
+                                               pool())),
         Expectation("partition(infinite)", HOLDS,
                     lambda: validate_partition(infinite_classes,
-                                               fx.sample_pool())),
+                                               pool())),
         Expectation("commuting(finite)", HOLDS,
-                    lambda: check_commuting(finite_classes, fx.sample_pool())),
+                    lambda: check_commuting(finite_classes, pool())),
         Expectation("csc-item-i(finite)", HOLDS,
                     lambda: check_csc_item_i(finite_classes)),
         Expectation("length-preserving(finite)", HOLDS,
                     lambda: check_length_preserving(
-                        finite_classes, fx.sample_pool())),
+                        finite_classes, pool())),
         Expectation("csc-item-iii(infinite)", FAILS,
                     lambda: check_csc_item_iii(infinite_classes, A, M=2)),
         Expectation("probe-continuity@zero(infinite)", FAILS,
@@ -455,6 +468,7 @@ def _fixture_d() -> Fixture:
         "C_P": SetOracle(class_membership_oracle(phi, P),
                          label="preimage of the tail symbol P"),
     }
+    pool = functools.partial(_sample_pool, g, points)
     fx = Fixture(
         "d", g, h, {"phi": phi, "phi_inv": phi_inv}, points, sequences,
         oracles,
@@ -464,10 +478,10 @@ def _fixture_d() -> Fixture:
 
     def inverse_identity() -> Verdict:
         rng = random.Random(4)
-        pool = [all_e0, points["zero"], points["spec_word"]]
-        while len(pool) < 50:
-            pool.append(sampling.random_point(g, rng))
-        for x in pool:
+        samples = [all_e0, points["zero"], points["spec_word"]]
+        while len(samples) < 50:
+            samples.append(sampling.random_point(g, rng))
+        for x in samples:
             y = eval_resolved(phi, x, depth=40)
             back = eval_resolved(phi_inv, y, depth=40)
             if not points_equal(back, x, 12):
@@ -478,7 +492,7 @@ def _fixture_d() -> Fixture:
 
     fx.expectations = [
         Expectation("commuting", HOLDS,
-                    lambda: check_commuting(phi, fx.sample_pool())),
+                    lambda: check_commuting(phi, pool())),
         Expectation("partition(inverse)", HOLDS,
                     lambda: validate_partition(
                         phi_inv, _pool_of(h, 40))),
@@ -489,7 +503,7 @@ def _fixture_d() -> Fixture:
                     lambda: refute_finitely_defined(
                         g, oracles["C_P"], all_e0, 6)),
         Expectation("length-preserving", FAILS,
-                    lambda: check_length_preserving(phi, fx.sample_pool())),
+                    lambda: check_length_preserving(phi, pool())),
         Expectation("probe-continuity@all_e0", HOLDS,
                     lambda: probe_continuity(phi, all_e0)),
     ]

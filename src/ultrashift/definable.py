@@ -618,7 +618,7 @@ def _window_variants(g: Ultragraph, x: Point, k: int, l: int,
     l, then prefix changes before k."""
     window_syms = [coordinate(x, i) for i in range(1, l + 1)]
     if all(isinstance(s, EdgeRef) for s in window_syms):
-        succ = g.epsilon(g.range_of(window_syms[-1]))
+        succ = g.successor_edges(window_syms[-1])
         nxt_true = coordinate(x, l + 1) if length(x) > l else None
         count = 0
         for fam, idx in succ.sample(tries):
@@ -632,7 +632,7 @@ def _window_variants(g: Ultragraph, x: Point, k: int, l: int,
                 yield w, f"continuation changed at position {l + 1}"
             if count >= tries:
                 break
-        tails, _ = g.minimal_emitters_in(g.range_of(window_syms[-1]))
+        tails, _ = g.range_emitters(window_syms[-1])
         for m in tails:
             yield (FinitePoint(tuple(window_syms), m),
                    f"cut to a finite point after position {l}")

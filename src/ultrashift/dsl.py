@@ -24,11 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .definable import LitAtom, PcSchema, RepAtom, SetOracle, VarAtom
-from .codes import MapPresentation, OracleClass, SchemaClass
+from .definable import (
+    LitAtom,
+    PcSchema,
+    RepAtom,
+    SchemaError,
+    SetOracle,
+    VarAtom,
+)
+from .codes import MapError, MapPresentation, OracleClass, SchemaClass
 from .graphs import (
     EdgeFamily,
     EdgeRef,
+    GraphError,
     MinimalEmitter,
     RangeCase,
     SourceCase,
@@ -196,7 +204,7 @@ class _Parser:
         self.expect("}")
         try:
             g = Ultragraph(name, vfams, efams)
-        except Exception as err:
+        except GraphError as err:
             self.fail(f"invalid ultragraph {name}: {err}",
                       "guards must partition each index domain")
         self.doc.graphs[name] = g
@@ -474,11 +482,14 @@ class _Parser:
             member = oracle_member.member if isinstance(
                 oracle_member, SetOracle) else oracle_member
             return OracleClass(symbol, member)
-        if family is not None:
-            return SchemaClass(body, family=family,
-                               index_domain=index_domain,
-                               index_map=index_map)
-        return SchemaClass(body, symbol=symbol)
+        try:
+            if family is not None:
+                return SchemaClass(body, family=family,
+                                   index_domain=index_domain,
+                                   index_map=index_map)
+            return SchemaClass(body, symbol=symbol)
+        except MapError as err:
+            raise ParseError(f"invalid class: {err}", t.line, t.col) from None
 
     def tail_symbol(self, h: Ultragraph) -> MinimalEmitter:
         emitters, complete = h.minimal_infinite_emitters()
@@ -562,7 +573,7 @@ class _Parser:
                       f"symbols but {len(atoms)} atoms were given")
         try:
             return PcSchema(anchor, tuple(atoms), param_domain)
-        except Exception as err:
+        except SchemaError as err:
             self.fail(str(err))
 
     def schema_atom(self, g: Ultragraph, class_var: str | None):
@@ -632,8 +643,7 @@ class _Parser:
             self.expect("|")
             if self.at_name("auto"):
                 self.next()
-                pool = g.minimal_emitters_in(
-                    g.range_of(edges[-1]))[0] if edges else \
+                pool = g.range_emitters(edges[-1])[0] if edges else \
                     g.minimal_infinite_emitters()[0]
                 if len(pool) != 1:
                     self.fail("auto needs exactly one candidate tail; got "

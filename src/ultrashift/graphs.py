@@ -34,6 +34,11 @@ INSTANTIATE_CAP = 64
 
 DEFAULT_CLOSURE_CAP = 1000
 
+# Per-edge answers are memoized per graph; a memo holding this many entries
+# is emptied before it takes another, so walks far from the index origin
+# cannot grow it without bound.
+EDGE_MEMO_CAP = 1 << 14
+
 
 class GraphError(ValueError):
     pass
@@ -135,7 +140,9 @@ class Ultragraph:
 
     Vertex and edge family names share one namespace; index domains are
     arbitrary IndexSets.  Derived data (canonical shapes, closure, minimal
-    emitters) is computed lazily and cached.
+    emitters) is computed lazily and cached, and so are the per-edge
+    answers (source, range, successor edges, emitters inside a range), so
+    a graph must not be changed after construction.
     """
 
     def __init__(self, name: str, vertex_families: dict, edge_families):
@@ -156,6 +163,12 @@ class Ultragraph:
                     if vf not in self.vertex_families:
                         raise GraphError(f"unknown vertex family {vf}")
         self._cache = {}
+        # per-edge memos keyed by (family, index), which hashes faster than
+        # the EdgeRef itself
+        self._sources: dict = {}
+        self._ranges: dict = {}
+        self._successors: dict = {}
+        self._range_emitters: dict = {}
 
     # -- elementary queries --------------------------------------------
 
@@ -174,6 +187,13 @@ class Ultragraph:
                                 for f, ef in self.edge_families.items()))
 
     def source(self, e: EdgeRef) -> tuple[str, int]:
+        key = (e.family, e.index)
+        got = self._sources.get(key)
+        if got is None:
+            got = _remember(self._sources, key, self._source(e))
+        return got
+
+    def _source(self, e: EdgeRef) -> tuple[str, int]:
         ef = self.edge_families[e.family]
         for sc in ef.source:
             if sc.guard.contains(e.index):
@@ -181,6 +201,13 @@ class Ultragraph:
         raise GraphError(f"edge {e} outside its family domain")
 
     def range_of(self, e: EdgeRef) -> SymbolicSet:
+        key = (e.family, e.index)
+        got = self._ranges.get(key)
+        if got is None:
+            got = _remember(self._ranges, key, self._range_of(e))
+        return got
+
+    def _range_of(self, e: EdgeRef) -> SymbolicSet:
         ef = self.edge_families[e.family]
         for rc in ef.ranges:
             if rc.guard.contains(e.index):
@@ -221,7 +248,12 @@ class Ultragraph:
 
     def successor_edges(self, e: EdgeRef) -> SymbolicSet:
         """Edges that may follow ``e`` on a path."""
-        return self.epsilon(self.range_of(e))
+        key = (e.family, e.index)
+        got = self._successors.get(key)
+        if got is None:
+            got = _remember(self._successors, key,
+                            self.epsilon(self.range_of(e)))
+        return got
 
     def infinite_emitter_vertices(self) -> SymbolicSet:
         """Vertices emitting infinitely many edges.
@@ -534,8 +566,26 @@ class Ultragraph:
         emitters, complete = self.minimal_infinite_emitters(cap)
         return [m for m in emitters if m.vertices.subset_of(vertices)], complete
 
+    def range_emitters(self, e: EdgeRef, cap: int = DEFAULT_CLOSURE_CAP):
+        """Minimal infinite emitters contained in r(e): a tuple, and the
+        completeness flag of ``minimal_emitters_in``."""
+        key = (e.family, e.index, cap)
+        got = self._range_emitters.get(key)
+        if got is None:
+            found, complete = self.minimal_emitters_in(self.range_of(e), cap)
+            got = _remember(self._range_emitters, key,
+                            (tuple(found), complete))
+        return got
+
     def __repr__(self) -> str:
         return f"Ultragraph({self.name!r})"
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= EDGE_MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _fixpoint(m: AffineIndexMap) -> int | None:

@@ -155,8 +155,7 @@ def validate_block(g: Ultragraph, b: Block,
             if isinstance(prev, MinimalEmitter):
                 if prev != sym:
                     problems.append("emitter tails are constant")
-            elif not any(m == sym for m in
-                         g.minimal_emitters_in(g.range_of(prev), cap)[0]):
+            elif not any(m == sym for m in g.range_emitters(prev, cap)[0]):
                 problems.append(
                     f"{sym} is not a minimal emitter inside r({prev})")
         else:
@@ -201,11 +200,9 @@ def enumerate_blocks(g: Ultragraph, n: int, index_bound: int,
             if isinstance(last, MinimalEmitter):
                 grown.append(w + [last])
                 continue
-            rng = g.range_of(last)
-            for e2 in bounded_edges(g.epsilon(rng), index_bound):
+            for e2 in bounded_edges(g.successor_edges(last), index_bound):
                 grown.append(w + [e2])
-            for m in emitters:
-                if m.vertices.subset_of(rng):
-                    grown.append(w + [m])
+            for m in g.range_emitters(last, cap)[0]:
+                grown.append(w + [m])
         words = grown
     return [Block(tuple(w)) for w in words]

@@ -175,8 +175,8 @@ def validate_point(g: Ultragraph, x: Point,
         if x.tail is None:
             problems.append("finite points need a tail emitter")
             return problems
-        pool = emitters if not x.path else g.minimal_emitters_in(
-            g.range_of(x.path[-1]), cap)[0]
+        pool = emitters if not x.path else \
+            g.range_emitters(x.path[-1], cap)[0]
         if not any(m == x.tail for m in pool):
             if complete:
                 problems.append(f"{x.tail} is not a legal tail here")
@@ -473,9 +473,8 @@ def block_witness(g: Ultragraph, block, index_bound: int = 8,
             i = seen[last]
             return PeriodicPoint(tuple(path[:i]), tuple(path[i:-1]))
         seen[last] = len(path) - 1
-        rng = g.range_of(last)
-        tails, _ = g.minimal_emitters_in(rng)
-        nxt = g.epsilon(rng)
+        tails, _ = g.range_emitters(last)
+        nxt = g.successor_edges(last)
         cands = [EdgeRef(f, k) for f, k in nxt.sample(index_bound)]
         if not cands:
             if tails:

@@ -65,7 +65,7 @@ def random_finite_point(g: Ultragraph, rng: random.Random,
         return FinitePoint((), rng.choice(emitters))
     for _ in range(6):
         walk = random_walk(g, rng, rng.randint(1, steps), bound)
-        tails, _ = g.minimal_emitters_in(g.range_of(walk[-1]))
+        tails, _ = g.range_emitters(walk[-1])
         if tails:
             return FinitePoint(tuple(walk), rng.choice(tails))
     return FinitePoint((), rng.choice(emitters))
@@ -106,7 +106,7 @@ def random_cylinder(g: Ultragraph, rng: random.Random, max_base: int = 3,
         walk = random_walk(g, rng, base_len, bound)
         rng_last = g.range_of(walk[-1])
         choices = [rng_last]
-        choices += [m.vertices for m in g.minimal_emitters_in(rng_last)[0]]
+        choices += [m.vertices for m in g.range_emitters(walk[-1])[0]]
         first = rng_last.sample(1)
         if first:
             choices.append(SymbolicSet.of((first[0][0],

@@ -33,6 +33,7 @@ from ultrashift.corpus import (
     n,
 )
 from ultrashift.definable import LitAtom, PcSchema, VarAtom
+from ultrashift.graphs import MinimalEmitter
 from ultrashift.intsets import IndexSet, SymbolicSet
 from ultrashift.paths import Ultrapath
 from ultrashift.points import (
@@ -41,6 +42,7 @@ from ultrashift.points import (
     PeriodicPoint,
     cylinder_contains,
     length,
+    shift,
 )
 from ultrashift import sampling
 
@@ -132,6 +134,46 @@ def test_eval_catches_non_invariant_emitter_class():
         eval_resolved(RuleMap(GA, HA, rule, "non-invariant"),
                       PeriodicPoint((d(),), (f(1),)))
     assert "persist" in str(err.value)
+
+
+def _reference_eval(phi, x):
+    """The map along the orbit of x, walked until a point comes back, with
+    the image built from the symbols: (symbols, image)."""
+    syms, seen, cur = [], {}, x
+    while cur not in seen:
+        seen[cur] = len(syms)
+        syms.append(phi.symbol_at(cur))
+        cur = shift(cur)
+    tails = [i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)]
+    if tails:
+        return tuple(syms), FinitePoint(tuple(syms[:tails[0]]), syms[tails[0]])
+    m = seen[cur]
+    return tuple(syms), PeriodicPoint(tuple(syms[:m]), tuple(syms[m:]))
+
+
+def test_eval_orbit_closure_matches_a_reference_walk():
+    extra = {
+        "a": [FinitePoint((), A_W),
+             PeriodicPoint((d(), f(2)), (f(3),)),
+             # non-primitive cycles, stored primitive
+             PeriodicPoint((d(), f(3)), (f(3), f(3))),
+             PeriodicPoint((d(),), (f(1), f(2), f(1), f(2)))],
+        "b": [PeriodicPoint((n(0), n(0)), (n(1), n(0), n(1), n(0)))],
+        "d": [FinitePoint((), A_D),
+             PeriodicPoint((e(3),), (e(0), e(1), e(0), e(1)))],
+    }
+    compared = 0
+    for fx in (FA, FB, build_fixture("c"), FD):
+        points = fx.sample_pool(30, 5) + extra.get(fx.name, [])
+        for phi in fx.maps.values():
+            if phi.source is not fx.source:
+                continue
+            for x in points:
+                syms, image = _reference_eval(phi, x)
+                got = eval_map(phi, x)
+                assert (got.prefix, got.resolved) == (syms, image), x
+                compared += 1
+    assert compared > 150
 
 
 def test_finite_image_bound_when_tail_maps_to_length_zero():

@@ -1,5 +1,8 @@
 """The built-in fixtures reproduce every expected verdict."""
 
+import gc
+import weakref
+
 import pytest
 
 from ultrashift.corpus import build_fixture, registry, run_fixture
@@ -39,3 +42,17 @@ def test_registry_contents():
 def test_fixture_notes_are_set():
     for name in "abcd":
         assert build_fixture(name).notes
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+def test_fixture_graphs_die_without_the_cycle_collector(name):
+    # expectations must not close over their fixture: a cycle would keep
+    # the fixture and its graphs alive until a full collection
+    gc.disable()
+    try:
+        fx = build_fixture(name)
+        source, target = weakref.ref(fx.source), weakref.ref(fx.target)
+        del fx
+        assert source() is None and target() is None
+    finally:
+        gc.enable()

@@ -290,6 +290,35 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+MAP_H_TO_G = GRAPH_D + GRAPH_H + """
+map PhiInv : H -> G {
+  class e[j] for j in >=1 { pc 1..1 : f[j] }
+  class e[0] {
+    pc 1..1 : f[j] ; j in <=-1
+    pc 1..1 : tail(w[<=-1])
+  }
+  class tail(auto) { pc 1..1 : tail(w[>=1]) }
+}
+"""
+
+
+def test_invalid_class_is_a_positioned_parse_error(tmp_path, capsys):
+    # a family class whose schema does not use the class index
+    bad = MAP_H_TO_G.replace("{ pc 1..1 : f[j] }", "{ pc 1..1 : f[1] }")
+    assert bad != MAP_H_TO_G
+    dsl.parse(MAP_H_TO_G)
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse(bad)
+    line = bad.splitlines().index(
+        "  class e[j] for j in >=1 { pc 1..1 : f[1] }") + 1
+    assert (err.value.line, err.value.col) == (line, 9)
+    assert "free parameter" in str(err.value)
+    p = tmp_path / "bad_class.ug"
+    p.write_text(bad)
+    assert main(["check", "commute", str(p), "--map", "PhiInv"]) == 3
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_code():
     assert main(["no-such-command"]) == 3
 

@@ -3,6 +3,7 @@ infinite emitters.  Expected values are checked against brute force on
 finite graphs and against hand-derived facts on the fixture graphs."""
 
 import itertools
+import random
 
 import pytest
 
@@ -308,3 +309,53 @@ def test_minimal_emitters_in_range():
 def test_infinite_emitter_vertices():
     assert graph_a_source().infinite_emitter_vertices() == SymbolicSet.singleton("w", 0)
     assert graph_d_target().infinite_emitter_vertices().is_empty()
+
+
+# -- per-edge memo ------------------------------------------------------------
+
+
+def _edges_near_origin(g, bound=6):
+    return [EdgeRef(fam, k) for fam, ef in g.edge_families.items()
+            for k in ef.domain.intersect(IndexSet.between(-bound, bound))
+            .members()]
+
+
+def _fresh_copy(g):
+    return Ultragraph(g.name, g.vertex_families, g.edge_families.values())
+
+
+def _cold_answers(g, e):
+    """Per-edge answers of a copy of g that has answered nothing yet."""
+    h = _fresh_copy(g)
+    found, complete = h.minimal_emitters_in(h.range_of(e))
+    return (h.source(e), h.range_of(e), h.epsilon(h.range_of(e)),
+            (tuple(found), complete))
+
+
+def test_memoized_edge_answers_match_a_fresh_graph():
+    from helpers_random import random_family_graph
+
+    rng = random.Random(17)
+    checked = 0
+    for tag in range(12):
+        g = random_family_graph(rng, tag)
+        edges = _edges_near_origin(g)
+        for _ in range(2):  # the second pass reads the memo
+            for e in edges:
+                warm = (g.source(e), g.range_of(e), g.successor_edges(e),
+                        g.range_emitters(e))
+                assert warm == _cold_answers(g, e), (g.name, e)
+                checked += 1
+    assert checked > 100
+
+
+def test_edge_memo_stays_bounded(monkeypatch):
+    from ultrashift import graphs
+
+    monkeypatch.setattr(graphs, "EDGE_MEMO_CAP", 4)
+    g = graph_b()
+    edges = _edges_near_origin(g, 20)
+    assert len(edges) > 8
+    for e in edges + edges:
+        assert g.range_of(e) == _fresh_copy(g).range_of(e)
+        assert len(g._ranges) <= 4
