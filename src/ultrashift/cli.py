@@ -32,9 +32,10 @@ from .definable import (AuditError, SetOracle, audit_refutation,
                         refute_finitely_defined)
 from .graphs import MinimalEmitter, validate_ultragraph
 from .intsets import SymbolicSet
-from .paths import enumerate_blocks
+from .paths import PathError, enumerate_blocks
 from .points import (
     ConvergenceBounds,
+    PointError,
     RepeatFamily,
     check_convergence,
     length,
@@ -44,6 +45,11 @@ from .verdicts import FAILS, HOLDS, NOT_APPLICABLE, UNKNOWN, Verdict
 
 EXIT_OK, EXIT_FAILS, EXIT_UNKNOWN, EXIT_USAGE = 0, 1, 2, 3
 SCHEMA_VERSION = 1
+# the status of a record whose checker raised one of _PACKAGE_ERRORS
+ERROR = "error"
+# the package's own errors (PartitionError is a MapError); anything else
+# is a fault of the program and surfaces as a traceback
+_PACKAGE_ERRORS = (MapError, PointError, PathError)
 
 
 def _env_bounds() -> dict:
@@ -80,7 +86,7 @@ class Report:
 
     def exit_code(self) -> int:
         statuses = {r["status"] for r in self.records}
-        if statuses & {FAILS, "error"}:
+        if statuses & {FAILS, ERROR}:
             return EXIT_FAILS
         if UNKNOWN in statuses:
             return EXIT_UNKNOWN
@@ -204,29 +210,34 @@ def cmd_eval(args) -> Report:
     return report
 
 
-def _check_verdicts(kind: str, phi, samples, env) -> list[Verdict]:
+def _error(check: str, err: Exception) -> Verdict:
+    return Verdict(check, ERROR, f"{type(err).__name__}: {err}")
+
+
+def _check_verdicts(kind: str, phi, samples, env):
+    """The verdicts of one check kind, in order, each as it is reached."""
     tries = env.get("tries", 24)
     depth = env.get("depth", 16)
     M = env.get("m_max", 4)
     if kind == "commute":
-        return [validate_partition(phi, samples),
-                check_commuting(phi, samples, depth)]
-    if kind in ("csc", "genchl"):
-        verdicts = [check_csc_item_i(phi)]
+        yield validate_partition(phi, samples)
+        yield check_commuting(phi, samples, depth)
+    elif kind in ("csc", "genchl"):
+        yield check_csc_item_i(phi)
         for x0 in sampling.zero_points(phi.source):
             img = eval_map(phi, x0, 8).prefix[0]
             if isinstance(img, MinimalEmitter):
                 if kind == "csc":
-                    verdicts.append(check_csc_item_ii(
-                        phi, x0, SymbolicSet.empty(), tries))
+                    yield check_csc_item_ii(phi, x0, SymbolicSet.empty(),
+                                            tries)
                 else:
-                    verdicts.append(check_genchl_iia(phi, x0, tries))
-                    verdicts.append(check_genchl_iib(phi, x0, tries=tries))
-            verdicts.append(check_csc_item_iii(phi, x0.tail, M=M))
-        return verdicts
-    if kind == "length-preserving":
-        return [check_length_preserving(phi, samples, tries)]
-    raise SystemExit(f"error: unknown check kind {kind!r}")
+                    yield check_genchl_iia(phi, x0, tries)
+                    yield check_genchl_iib(phi, x0, tries=tries)
+            yield check_csc_item_iii(phi, x0.tail, M=M)
+    elif kind == "length-preserving":
+        yield check_length_preserving(phi, samples, tries)
+    else:
+        raise SystemExit(f"error: unknown check kind {kind!r}")
 
 
 def cmd_check(args) -> Report:
@@ -235,7 +246,12 @@ def cmd_check(args) -> Report:
     env = _env_bounds()
     samples = _sample_pool(phi.source, env.get("samples", 40))
     report = Report(f"check {args.kind}")
-    verdicts = _check_verdicts(args.kind, phi, samples, env)
+    verdicts = []
+    try:
+        for v in _check_verdicts(args.kind, phi, samples, env):
+            verdicts.append(v)
+    except _PACKAGE_ERRORS as err:
+        verdicts.append(_error(f"check {args.kind}", err))
     for v in verdicts:
         report.add(v)
     if args.audit:
@@ -269,7 +285,7 @@ def _audit(phi, v: Verdict) -> Verdict:
             return Verdict(name, HOLDS if ok else FAILS,
                            "violation reproduced" if ok else "mismatch")
         return Verdict(name, UNKNOWN, "no audit hook for this check")
-    except Exception as err:  # audit must never crash the report
+    except _PACKAGE_ERRORS as err:
         return Verdict(name, UNKNOWN, f"audit error: {err}")
 
 
@@ -282,11 +298,16 @@ def cmd_refute_fd(args) -> Report:
     g = _graph_from(doc, args.graph)
     x = _point_from(doc, g, args.point)
     report = Report("refute-fd")
-    result = refute_finitely_defined(g, oracle, x, args.max_window)
+    check = f"refute-fd({args.oracle})"
+    try:
+        result = refute_finitely_defined(g, oracle, x, args.max_window)
+    except _PACKAGE_ERRORS as err:
+        report.add(_error(check, err))
+        return report
     status = HOLDS if result.status == "refuted" else UNKNOWN
     detail = result.claim if result.status == "refuted" else \
         f"stuck windows: {result.stuck}"
-    report.add(Verdict(f"refute-fd({args.oracle})", status, detail,
+    report.add(Verdict(check, status, detail,
                        f"{len(result.rows)} window witnesses",
                        bounds={"max_window": args.max_window}))
     if args.audit and result.status == "refuted":
@@ -310,9 +331,13 @@ def cmd_converge(args) -> Report:
     env = _env_bounds()
     bounds = ConvergenceBounds(m_max=env.get("m_max", 8),
                                n_max=env.get("n_max", 32))
-    verdict = check_convergence(g, seq, target, bounds)
-    verdict.check = f"converge({args.seq})"
     report = Report("converge")
+    try:
+        verdict = check_convergence(g, seq, target, bounds)
+    except _PACKAGE_ERRORS as err:
+        report.add(_error(f"converge({args.seq})", err))
+        return report
+    verdict.check = f"converge({args.seq})"
     report.add(verdict)
     return report
 

@@ -259,10 +259,24 @@ def eval_map(phi, x: Point, depth: int | None = None,
         steps = closes[1]
     else:
         steps = 48 if depth is None else depth
+    # a probe's memo of resolved images (finite and periodic points only)
+    memo = phi if closes is not None and isinstance(phi, _ProbeMemo) \
+        else None
     syms: list = []
     cur = x
     emitter_at: int | None = None
     for i in range(steps):
+        if memo is not None and emitter_at is None:
+            known = memo.images.get(memo.key(cur))
+            if known is not None:
+                if i == 0:
+                    return known  # x itself was evaluated in this probe
+                # the image of x is syms followed by the image of its i-th
+                # shift, whose walk covers the remaining steps
+                syms.extend(known.prefix[:steps - i])
+                emitter_at = next((j for j in range(i, steps) if isinstance(
+                    syms[j], MinimalEmitter)), None)
+                break
         sym = phi.symbol_at(cur)
         if isinstance(sym, MinimalEmitter) and emitter_at is None:
             emitter_at = i
@@ -282,14 +296,18 @@ def eval_map(phi, x: Point, depth: int | None = None,
                            "maps to a length-zero point")
         note = "resolved finite" if closes is not None else \
             f"resolved finite (persistence checked to depth {len(syms)})"
-        return EvalResult(tuple(syms), out, note)
-    if closes is not None:
+        res = EvalResult(tuple(syms), out, note)
+    elif closes is not None:
         m, p = closes[0], closes[1] - closes[0]
         out = PeriodicPoint(tuple(syms[:m]), tuple(syms[m:m + p]))
         _check_output(phi.target, out, cap)
-        return EvalResult(tuple(syms), out, "resolved periodic")
-    return EvalResult(tuple(syms), None,
-                      f"generator input evaluated to depth {len(syms)}")
+        res = EvalResult(tuple(syms), out, "resolved periodic")
+    else:
+        return EvalResult(tuple(syms), None,
+                          f"generator input evaluated to depth {len(syms)}")
+    if memo is not None:
+        memo.images[memo.key(x)] = res
+    return res
 
 
 def _check_output(h: Ultragraph, out: Point, cap: int) -> None:
@@ -1127,8 +1145,8 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     bounds = bounds or ProbeBounds()
     rng = rng or random.Random(0)
     g = phi.source
-    # every evaluation of this probe reads one symbol memo, dropped on return
-    phi = _SymbolMemo(phi)
+    # every evaluation of this probe reads one memo, dropped on return
+    phi = _ProbeMemo(phi)
     try:
         target = eval_resolved(phi, x, bounds.depth)
     except MapError as err:
@@ -1176,27 +1194,34 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
                    bounds.as_dict())
 
 
-class _SymbolMemo:
-    """A map whose first-coordinate symbols are memoized at finite and
-    periodic points.  The orbits of one probe's approach terms overlap
-    (the shifts of block^n + tail include block^(n-1) + tail), so their
-    evaluations share most symbols.  Generator points are not memoized."""
+class _ProbeMemo:
+    """A map whose first-coordinate symbols and resolved images are
+    memoized at finite and periodic points, for one probe.  The orbits of
+    one probe's approach terms overlap (the shifts of block^n + tail include
+    block^(n-1) + tail), so their evaluations share most symbols, and
+    ``eval_map`` splices a stored image onto the symbols before it.
+    Generator points are not memoized, and neither are failed images."""
 
     def __init__(self, phi):
         self.phi = phi
         self.target = phi.target
-        self.memo: dict = {}
+        self.symbols: dict = {}
+        self.images: dict = {}
+
+    @staticmethod
+    def key(x: Point):
+        # equal finite points may name their tails differently, and a rule
+        # may hand the tail back, so the name is part of the key
+        return x if isinstance(x, PeriodicPoint) else \
+            (x, getattr(x.tail, "name", None))
 
     def symbol_at(self, x: Point):
         if isinstance(x, GeneratorPoint):
             return self.phi.symbol_at(x)
-        # equal finite points may name their tails differently, and a rule
-        # may hand the tail back, so the name is part of the key
-        key = x if isinstance(x, PeriodicPoint) else \
-            (x, getattr(x.tail, "name", None))
-        sym = self.memo.get(key)
+        key = self.key(x)
+        sym = self.symbols.get(key)
         if sym is None:
-            sym = self.memo[key] = self.phi.symbol_at(x)
+            sym = self.symbols[key] = self.phi.symbol_at(x)
         return sym
 
 

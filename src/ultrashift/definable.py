@@ -21,9 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import DEFAULT_CLOSURE_CAP, EdgeRef, Ultragraph
+from .graphs import DEFAULT_CLOSURE_CAP, EdgeRef, Ultragraph, bounded_edges
 from .intsets import AffineIndexMap, IDENTITY_MAP, IndexSet, SymbolicSet
-from .paths import Block, PathError, Ultrapath, bounded_edges, enumerate_blocks
+from .paths import Block, PathError, Ultrapath, enumerate_blocks
 from .points import (
     Cylinder,
     FinitePoint,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .intsets import (
     INFINITE,
@@ -44,9 +45,9 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EdgeRef:
-    """A single edge: family name plus index."""
+class EdgeRef(NamedTuple):
+    """A single edge: family name plus index.  A named tuple, so it hashes
+    and compares in C, and it equals its ``(family, index)`` pair."""
 
     family: str
     index: int
@@ -141,8 +142,8 @@ class Ultragraph:
     Vertex and edge family names share one namespace; index domains are
     arbitrary IndexSets.  Derived data (canonical shapes, closure, minimal
     emitters) is computed lazily and cached, and so are the per-edge
-    answers (source, range, successor edges, emitters inside a range), so
-    a graph must not be changed after construction.
+    answers (source, range, successor edges, bounded successors, emitters
+    inside a range), so a graph must not be changed after construction.
     """
 
     def __init__(self, name: str, vertex_families: dict, edge_families):
@@ -163,12 +164,12 @@ class Ultragraph:
                     if vf not in self.vertex_families:
                         raise GraphError(f"unknown vertex family {vf}")
         self._cache = {}
-        # per-edge memos keyed by (family, index), which hashes faster than
-        # the EdgeRef itself
+        # per-edge memos keyed by the EdgeRef
         self._sources: dict = {}
         self._ranges: dict = {}
         self._successors: dict = {}
         self._range_emitters: dict = {}
+        self._bounded_successors: dict = {}
 
     # -- elementary queries --------------------------------------------
 
@@ -187,10 +188,9 @@ class Ultragraph:
                                 for f, ef in self.edge_families.items()))
 
     def source(self, e: EdgeRef) -> tuple[str, int]:
-        key = (e.family, e.index)
-        got = self._sources.get(key)
+        got = self._sources.get(e)
         if got is None:
-            got = _remember(self._sources, key, self._source(e))
+            got = _remember(self._sources, e, self._source(e))
         return got
 
     def _source(self, e: EdgeRef) -> tuple[str, int]:
@@ -201,10 +201,9 @@ class Ultragraph:
         raise GraphError(f"edge {e} outside its family domain")
 
     def range_of(self, e: EdgeRef) -> SymbolicSet:
-        key = (e.family, e.index)
-        got = self._ranges.get(key)
+        got = self._ranges.get(e)
         if got is None:
-            got = _remember(self._ranges, key, self._range_of(e))
+            got = _remember(self._ranges, e, self._range_of(e))
         return got
 
     def _range_of(self, e: EdgeRef) -> SymbolicSet:
@@ -248,11 +247,20 @@ class Ultragraph:
 
     def successor_edges(self, e: EdgeRef) -> SymbolicSet:
         """Edges that may follow ``e`` on a path."""
-        key = (e.family, e.index)
-        got = self._successors.get(key)
+        got = self._successors.get(e)
         if got is None:
-            got = _remember(self._successors, key,
+            got = _remember(self._successors, e,
                             self.epsilon(self.range_of(e)))
+        return got
+
+    def bounded_successors(self, e: EdgeRef, bound: int,
+                           widen: int = 0) -> tuple:
+        """``bounded_edges`` of the successor edges of ``e``, as a tuple."""
+        key = (e, bound, widen)
+        got = self._bounded_successors.get(key)
+        if got is None:
+            got = _remember(self._bounded_successors, key, tuple(
+                bounded_edges(self.successor_edges(e), bound, widen)))
         return got
 
     def infinite_emitter_vertices(self) -> SymbolicSet:
@@ -569,7 +577,7 @@ class Ultragraph:
     def range_emitters(self, e: EdgeRef, cap: int = DEFAULT_CLOSURE_CAP):
         """Minimal infinite emitters contained in r(e): a tuple, and the
         completeness flag of ``minimal_emitters_in``."""
-        key = (e.family, e.index, cap)
+        key = (e, cap)
         got = self._range_emitters.get(key)
         if got is None:
             found, complete = self.minimal_emitters_in(self.range_of(e), cap)
@@ -579,6 +587,21 @@ class Ultragraph:
 
     def __repr__(self) -> str:
         return f"Ultragraph({self.name!r})"
+
+
+def bounded_edges(edges: SymbolicSet, bound: int,
+                  widen: int = 0) -> list[EdgeRef]:
+    """The edges of ``edges`` with index in [-bound, bound].  When there
+    are none, the bound is multiplied by four, at most ``widen`` times."""
+    for _ in range(widen + 1):
+        out = [EdgeRef(fam, k)
+               for fam, iset in edges.entries
+               for k in iset.intersect(IndexSet.between(-bound, bound))
+               .members()]
+        if out:
+            return out
+        bound *= 4
+    return []
 
 
 def _remember(memo: dict, key, value):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeRef, MinimalEmitter, Ultragraph, DEFAULT_CLOSURE_CAP
-from .intsets import IndexSet, SymbolicSet
+from .graphs import (DEFAULT_CLOSURE_CAP, EdgeRef, MinimalEmitter, Ultragraph,
+                     bounded_edges)
+from .intsets import SymbolicSet
 
 
 class PathError(ValueError):
@@ -168,21 +169,6 @@ def validate_block(g: Ultragraph, b: Block,
     return problems
 
 
-def bounded_edges(edges: SymbolicSet, bound: int,
-                  widen: int = 0) -> list[EdgeRef]:
-    """The edges of ``edges`` with index in [-bound, bound].  When there
-    are none, the bound is multiplied by four, at most ``widen`` times."""
-    for _ in range(widen + 1):
-        out = [EdgeRef(fam, k)
-               for fam, iset in edges.entries
-               for k in iset.intersect(IndexSet.between(-bound, bound))
-               .members()]
-        if out:
-            return out
-        bound *= 4
-    return []
-
-
 def enumerate_blocks(g: Ultragraph, n: int, index_bound: int,
                      cap: int = DEFAULT_CLOSURE_CAP) -> list[Block]:
     """All length-n blocks whose edge indices lie in [-index_bound,
@@ -200,7 +186,7 @@ def enumerate_blocks(g: Ultragraph, n: int, index_bound: int,
             if isinstance(last, MinimalEmitter):
                 grown.append(w + [last])
                 continue
-            for e2 in bounded_edges(g.successor_edges(last), index_bound):
+            for e2 in g.bounded_successors(last, index_bound):
                 grown.append(w + [e2])
             for m in g.range_emitters(last, cap)[0]:
                 grown.append(w + [m])

@@ -371,14 +371,37 @@ def check_convergence(g: Ultragraph, seq, target: Point,
 
     conditions = []
     if length(target) == INFINITE:
+        # n -> (depth to which term n agrees with the target, whether a
+        # mismatch follows it); extended only as far as a depth M asks
+        agreed: dict = {}
+        goal: list = []  # the target's coordinates read so far
+
+        def agrees_to(M):
+            def cond(n: int) -> bool:
+                xn = term(n)
+                if length(xn) < M:
+                    return False
+                k, stopped = agreed.get(n, (0, False))
+                while k < M and not stopped:
+                    sym = coordinate(xn, k + 1)
+                    if k == len(goal):
+                        goal.append(coordinate(target, k + 1))
+                    if sym == goal[k]:
+                        k += 1
+                    else:
+                        stopped = True
+                agreed[n] = k, stopped
+                return k >= M
+            return cond
+
         for M in range(1, bounds.m_max + 1):
             conditions.append((f"prefix agreement to depth {M}",
-                               _infinite_case_condition(target, M)))
+                               agrees_to(M)))
     else:
         f_list = bounds.f_list or _default_f_list(g, target)
         for F in f_list:
             conditions.append((f"escape outside F={F}",
-                               _finite_case_condition(g, target, F)))
+                               _finite_case_condition(g, target, F, term)))
 
     worst = HOLDS
     detail_bits = []
@@ -386,7 +409,7 @@ def check_convergence(g: Ultragraph, seq, target: Point,
     exact = isinstance(seq, RepeatFamily)
     half = bounds.n_max // 2
     for name, cond in conditions:
-        outcomes = [cond(term(n)) for n in range(1, bounds.n_max + 1)]
+        outcomes = [cond(n) for n in range(1, bounds.n_max + 1)]
         if not any(outcomes[half:]):
             # the whole tail of the window fails: divergence up to bounds
             worst = FAILS
@@ -413,19 +436,12 @@ def _stable(outcomes: list, half: int) -> bool:
     return all(o == tail[0] for o in tail)
 
 
-def _infinite_case_condition(target: Point, M: int):
-    def cond(xn: Point) -> bool:
-        if length(xn) < M:
-            return False
-        return all(coordinate(xn, i) == coordinate(target, i)
-                   for i in range(1, M + 1))
-    return cond
-
-
-def _finite_case_condition(g: Ultragraph, target: FinitePoint, F: SymbolicSet):
+def _finite_case_condition(g: Ultragraph, target: FinitePoint, F: SymbolicSet,
+                           term):
     k = len(target.path)
 
-    def cond(xn: Point) -> bool:
+    def cond(n: int) -> bool:
+        xn = term(n)
         if isinstance(xn, (FinitePoint, PeriodicPoint)) and xn == target:
             return True
         if length(xn) <= k:

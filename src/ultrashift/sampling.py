@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 
-from .graphs import EdgeRef, Ultragraph
+from .graphs import EdgeRef, Ultragraph, bounded_edges
 from .intsets import IndexSet, SymbolicSet
-from .paths import Ultrapath, bounded_edges
+from .paths import Ultrapath
 from .points import Cylinder, FinitePoint, PeriodicPoint, Point
 
 
@@ -31,7 +31,7 @@ def random_walk(g: Ultragraph, rng: random.Random, steps: int,
                 bound: int = 8, start: EdgeRef | None = None):
     path = [start or random_edge(g, rng, bound)]
     for _ in range(steps - 1):
-        cands = bounded_edges(g.successor_edges(path[-1]), bound, WIDEN)
+        cands = g.bounded_successors(path[-1], bound, WIDEN)
         if not cands:
             break
         path.append(rng.choice(cands))
@@ -49,7 +49,7 @@ def random_periodic_point(g: Ultragraph, rng: random.Random,
         seen[e] = i
     # close a cycle by returning to an already-visited edge if possible
     last = walk[-1]
-    cands = bounded_edges(g.successor_edges(last), bound, WIDEN)
+    cands = g.bounded_successors(last, bound, WIDEN)
     for i, e in enumerate(walk):
         if e in cands:
             return PeriodicPoint(tuple(walk[:i]), tuple(walk[i:]))

@@ -55,3 +55,30 @@ def test_no_module_level_memo_dict():
                     node.value is not None and _is_empty_mapping(node.value):
                 found.append(f"{mod}:{node.lineno}")
     assert found == []
+
+
+def test_probe_memo_dies_with_its_verdict(monkeypatch):
+    import gc
+    import weakref
+
+    from ultrashift import codes
+    from ultrashift.corpus import build_fixture
+
+    memos = []
+
+    class Watched(codes._ProbeMemo):
+        def __init__(self, phi):
+            super().__init__(phi)
+            memos.append(weakref.ref(self))
+
+    monkeypatch.setattr(codes, "_ProbeMemo", Watched)
+    fx = build_fixture("a")
+    gc.disable()  # the memo must go by reference counting alone
+    try:
+        for name in ("all_d", "f3", "d_then_zero"):
+            verdict = codes.probe_continuity(fx.phi, fx.points[name])
+            assert verdict.status in ("holds", "fails")
+        assert len(memos) == 3
+        assert all(ref() is None for ref in memos)
+    finally:
+        gc.enable()

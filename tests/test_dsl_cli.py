@@ -339,3 +339,71 @@ def test_env_bounds_override(doc_file, monkeypatch, capsys):
     assert main(["check", "commute", doc_file, "--map", "Phi"]) == 0
     out = capsys.readouterr().out
     assert "samples=10" in out
+
+
+MAP_WITHOUT_TAIL_CLASS = GRAPH_A_WITH_MAP + """
+map NoTail : G -> H {
+  class e[j] for j in >=1 {
+    pc 1..1 : f[j]
+    pc 1..* : rep(d) f[j]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("kind", ["csc", "genchl", "commute",
+                                  "length-preserving"])
+def test_checker_error_is_an_error_record(tmp_path, capsys, kind):
+    # no class takes the zero-length point, so evaluating the map there
+    # raises a PartitionError inside the checkers
+    p = tmp_path / "no_tail.ug"
+    p.write_text(MAP_WITHOUT_TAIL_CLASS)
+    assert main(["check", kind, str(p), "--map", "NoTail",
+                 "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert records[-1]["check"] == f"check {kind}"
+    assert records[-1]["status"] == "error"
+    assert records[-1]["detail"].startswith("PartitionError: no class")
+    # the verdicts reached before the error are kept
+    if kind in ("csc", "genchl"):
+        assert records[0]["check"] == "csc-item-i"
+
+
+@pytest.mark.parametrize("argv, checker", [
+    (["converge", "DOC", "--seq", "a.dn_f1", "--target", "target",
+      "--graph", "G"], "check_convergence"),
+    (["refute-fd", "DOC", "--oracle", "a.C_B", "--point", "target",
+      "--graph", "G"], "refute_finitely_defined"),
+])
+def test_converge_and_refute_errors_are_error_records(
+        doc_file, capsys, monkeypatch, argv, checker):
+    from ultrashift import cli
+    from ultrashift.codes import MapError
+
+    def raising(*args, **kwargs):
+        raise MapError("image did not resolve")
+
+    monkeypatch.setattr(cli, checker, raising)
+    argv = [doc_file if a == "DOC" else a for a in argv]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "error" in out and "MapError: image did not resolve" in out
+
+
+def test_audit_reports_package_errors_and_lets_other_faults_surface():
+    from ultrashift.cli import _audit
+    from ultrashift.codes import MapError
+    from ultrashift.verdicts import Verdict
+
+    class Raising:
+        def __init__(self, err):
+            self.err = err
+
+        def symbol_at(self, x, max_rep=64):
+            raise self.err
+
+    v = Verdict("length-preserving", "fails", "", FinitePoint((), None))
+    got = _audit(Raising(MapError("no image")), v)
+    assert (got.status, got.detail) == ("unknown", "audit error: no image")
+    with pytest.raises(TypeError):
+        _audit(Raising(TypeError("a fault of the program")), v)

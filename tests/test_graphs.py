@@ -23,6 +23,7 @@ from ultrashift.graphs import (
     RangeCase,
     SourceCase,
     Ultragraph,
+    bounded_edges,
     validate_ultragraph,
 )
 from ultrashift.intsets import (
@@ -328,8 +329,10 @@ def _cold_answers(g, e):
     """Per-edge answers of a copy of g that has answered nothing yet."""
     h = _fresh_copy(g)
     found, complete = h.minimal_emitters_in(h.range_of(e))
-    return (h.source(e), h.range_of(e), h.epsilon(h.range_of(e)),
-            (tuple(found), complete))
+    successors = h.epsilon(h.range_of(e))
+    return (h.source(e), h.range_of(e), successors,
+            (tuple(found), complete),
+            tuple(bounded_edges(successors, 3, 2)))
 
 
 def test_memoized_edge_answers_match_a_fresh_graph():
@@ -343,7 +346,7 @@ def test_memoized_edge_answers_match_a_fresh_graph():
         for _ in range(2):  # the second pass reads the memo
             for e in edges:
                 warm = (g.source(e), g.range_of(e), g.successor_edges(e),
-                        g.range_emitters(e))
+                        g.range_emitters(e), g.bounded_successors(e, 3, 2))
                 assert warm == _cold_answers(g, e), (g.name, e)
                 checked += 1
     assert checked > 100
@@ -359,3 +362,22 @@ def test_edge_memo_stays_bounded(monkeypatch):
     for e in edges + edges:
         assert g.range_of(e) == _fresh_copy(g).range_of(e)
         assert len(g._ranges) <= 4
+        for bound in (1, 2, 3):
+            assert g.bounded_successors(e, bound) == tuple(bounded_edges(
+                _fresh_copy(g).successor_edges(e), bound))
+            assert len(g._bounded_successors) <= 4
+
+
+def test_edge_ref_is_its_family_index_pair():
+    e = EdgeRef("f", -3)
+    assert hash(e) == hash(("f", -3))
+    assert e == ("f", -3) and ("f", -3) == e
+    assert (str(e), repr(e)) == ("f[-3]", "EdgeRef(family='f', index=-3)")
+    assert f"{e}" == "f[-3]"
+    assert e.family == "f" and e.index == -3
+    # sets and dicts iterate EdgeRefs as they iterate the plain pairs
+    pairs = [("f", k) for k in range(-40, 40, 3)] + [("g", 7), ("d", 0)]
+    assert [tuple(x) for x in set(EdgeRef(*p) for p in pairs)] == \
+        list(set(pairs))
+    emitter = graph_a_source().minimal_infinite_emitters()[0][0]
+    assert e != emitter and emitter != e
