@@ -52,16 +52,26 @@ ERROR = "error"
 _PACKAGE_ERRORS = (MapError, PointError, PathError)
 
 
+# the keys ULTRASHIFT_DEFAULT_BOUNDS may set
+_ENV_KEYS = ("samples", "tries", "depth", "m_max", "n_max")
+
+
 def _env_bounds() -> dict:
+    """Bounds from ULTRASHIFT_DEFAULT_BOUNDS ("tries=6,depth=12"); an
+    unknown key or a value that is not an integer is a usage error."""
     raw = os.environ.get("ULTRASHIFT_DEFAULT_BOUNDS", "")
     out = {}
-    for bit in raw.split(","):
-        if "=" in bit:
-            k, v = bit.split("=", 1)
-            try:
-                out[k.strip()] = int(v)
-            except ValueError:
-                pass
+    for bit in filter(str.strip, raw.split(",")):
+        k, _, v = bit.partition("=")
+        try:
+            if k.strip() not in _ENV_KEYS:
+                raise ValueError(k)
+            out[k.strip()] = int(v)
+        except ValueError:
+            raise SystemExit(
+                f"error: ULTRASHIFT_DEFAULT_BOUNDS entry {bit.strip()!r} is "
+                f"not key=integer with a key among {', '.join(_ENV_KEYS)}"
+            ) from None
     return out
 
 
@@ -73,7 +83,9 @@ def _read(path: str) -> str:
 
 
 def _load(path: str):
-    return dsl.parse(_read(path), corpus.registry())
+    """The parsed document and the registry it was parsed against."""
+    reg = corpus.registry()
+    return dsl.parse(_read(path), reg), reg
 
 
 class Report:
@@ -110,11 +122,11 @@ class Report:
             print(line)
 
 
-def _graph_from(doc, name: str | None, what: str = "graph"):
+def _graph_from(doc, name: str | None):
     if name is None:
         if len(doc.graphs) == 1:
             return next(iter(doc.graphs.values()))
-        raise SystemExit(f"error: several graphs defined; use --{what}")
+        raise SystemExit("error: several graphs defined; use --graph")
     if name not in doc.graphs:
         raise SystemExit(f"error: no ultragraph named {name!r}")
     return doc.graphs[name]
@@ -126,10 +138,10 @@ def _map_from(doc, name: str):
     return doc.maps[name]
 
 
-def _point_from(doc, g, text: str):
+def _point_from(doc, reg, g, text: str):
     if text in doc.points:
         return doc.points[text][1]
-    return dsl.parse_point_literal(g, text, corpus.registry())
+    return dsl.parse_point_literal(g, text, reg)
 
 
 def _sample_pool(g, size: int):
@@ -137,7 +149,7 @@ def _sample_pool(g, size: int):
 
 
 def cmd_validate(args) -> Report:
-    doc = _load(args.file)
+    doc, _ = _load(args.file)
     report = Report("validate")
     for name, g in doc.graphs.items():
         res = validate_ultragraph(g)
@@ -156,7 +168,7 @@ def cmd_validate(args) -> Report:
 
 
 def cmd_emitters(args) -> Report:
-    doc = _load(args.file)
+    doc, _ = _load(args.file)
     g = _graph_from(doc, args.graph)
     report = Report("emitters")
     verts = g.infinite_emitter_vertices()
@@ -178,7 +190,7 @@ def cmd_emitters(args) -> Report:
 
 
 def cmd_blocks(args) -> Report:
-    doc = _load(args.file)
+    doc, _ = _load(args.file)
     g = _graph_from(doc, args.graph)
     report = Report("blocks")
     blocks = enumerate_blocks(g, args.length, args.index_bound)
@@ -193,9 +205,9 @@ def cmd_blocks(args) -> Report:
 
 
 def cmd_eval(args) -> Report:
-    doc = _load(args.file)
+    doc, reg = _load(args.file)
     phi = _map_from(doc, args.map)
-    x = _point_from(doc, phi.source, args.point)
+    x = _point_from(doc, reg, phi.source, args.point)
     report = Report("eval")
     try:
         res = eval_map(phi, x, args.depth)
@@ -205,7 +217,7 @@ def cmd_eval(args) -> Report:
             detail += f" | resolved: {res.resolved}"
         report.add(Verdict("eval", HOLDS, detail,
                            bounds={"depth": args.depth}))
-    except (MapError, PartitionError) as err:
+    except MapError as err:
         report.add(Verdict("eval", FAILS, str(err), x))
     return report
 
@@ -241,7 +253,7 @@ def _check_verdicts(kind: str, phi, samples, env):
 
 
 def cmd_check(args) -> Report:
-    doc = _load(args.file)
+    doc, _ = _load(args.file)
     phi = _map_from(doc, args.map)
     env = _env_bounds()
     samples = _sample_pool(phi.source, env.get("samples", 40))
@@ -290,13 +302,12 @@ def _audit(phi, v: Verdict) -> Verdict:
 
 
 def cmd_refute_fd(args) -> Report:
-    doc = _load(args.file)
-    reg = corpus.registry()
+    doc, reg = _load(args.file)
     if args.oracle not in reg or not isinstance(reg[args.oracle], SetOracle):
         raise SystemExit(f"error: no registered oracle named {args.oracle!r}")
     oracle = reg[args.oracle]
     g = _graph_from(doc, args.graph)
-    x = _point_from(doc, g, args.point)
+    x = _point_from(doc, reg, g, args.point)
     report = Report("refute-fd")
     check = f"refute-fd({args.oracle})"
     try:
@@ -321,13 +332,12 @@ def cmd_refute_fd(args) -> Report:
 
 
 def cmd_converge(args) -> Report:
-    doc = _load(args.file)
-    reg = corpus.registry()
+    doc, reg = _load(args.file)
     if args.seq not in reg or not isinstance(reg[args.seq], RepeatFamily):
         raise SystemExit(f"error: no registered sequence named {args.seq!r}")
     seq = reg[args.seq]
     g = _graph_from(doc, args.graph)
-    target = _point_from(doc, g, args.target)
+    target = _point_from(doc, reg, g, args.target)
     env = _env_bounds()
     bounds = ConvergenceBounds(m_max=env.get("m_max", 8),
                                n_max=env.get("n_max", 32))

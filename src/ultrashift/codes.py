@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from .definable import PcSchema, LitAtom, RepAtom, VarAtom, match_schema
-from .graphs import DEFAULT_CLOSURE_CAP, EdgeRef, MinimalEmitter, Ultragraph
+from .graphs import EdgeRef, MinimalEmitter, Ultragraph
 from .intsets import AffineIndexMap, IDENTITY_MAP, INFINITE, IndexSet, SymbolicSet
 from .paths import Block
 from .points import (
@@ -91,15 +91,14 @@ class SchemaClass:
     def is_emitter_class(self) -> bool:
         return isinstance(self.symbol, MinimalEmitter)
 
-    def symbols_for(self, g_source: Ultragraph, x: Point,
-                    max_rep: int = 64) -> list:
+    def symbols_for(self, g_source: Ultragraph, x: Point) -> list:
         out = []
         for item in self.body:
             if isinstance(item, Cylinder):
                 if cylinder_contains(g_source, item, x):
                     out.append(self.symbol)
             else:
-                m = match_schema(item, x, max_rep)
+                m = match_schema(item, x)
                 if m is None:
                     continue
                 if self.symbol is not None:
@@ -142,7 +141,7 @@ class OracleClass:
     def is_emitter_class(self) -> bool:
         return isinstance(self.symbol, MinimalEmitter)
 
-    def symbols_for(self, g_source, x, max_rep: int = 64):
+    def symbols_for(self, g_source, x):
         return [self.symbol] if self.member(x) else []
 
     def covers_symbol(self, sym):
@@ -162,10 +161,10 @@ class MapPresentation:
         self.classes = tuple(classes)
         self.label = label
 
-    def symbol_at(self, x: Point, max_rep: int = 64):
+    def symbol_at(self, x: Point):
         found = []
         for c in self.classes:
-            for sym in c.symbols_for(self.source, x, max_rep):
+            for sym in c.symbols_for(self.source, x):
                 found.append((c, sym))
         if len(found) != 1:
             raise PartitionError(x, [str(c) for c, _ in found])
@@ -186,7 +185,7 @@ class RuleMap:
         self.classes = ()
         self.label = label
 
-    def symbol_at(self, x: Point, max_rep: int = 64):
+    def symbol_at(self, x: Point):
         return self.rule(x)
 
     def __str__(self) -> str:
@@ -245,8 +244,7 @@ def _orbit_closure(x: Point) -> tuple[int, int] | None:
     return None
 
 
-def eval_map(phi, x: Point, depth: int | None = None,
-             cap: int = DEFAULT_CLOSURE_CAP) -> EvalResult:
+def eval_map(phi, x: Point, depth: int | None = None) -> EvalResult:
     """Apply the map along the shift orbit of x.
 
     Finite and eventually periodic inputs resolve exactly: their orbits
@@ -284,13 +282,16 @@ def eval_map(phi, x: Point, depth: int | None = None,
         cur = shift(cur)
     if emitter_at is not None:
         tail = syms[emitter_at]
-        # once the orbit closes, checking the computed symbols checks all
-        if any(syms[j] != tail for j in range(emitter_at, len(syms))):
+        # once the orbit closes at (m, m + p), checking the computed symbols
+        # checks all; the cycle's symbols from m on come back after the
+        # emitter, so they must be the tail as well
+        start = emitter_at if closes is None else min(emitter_at, closes[0])
+        if any(syms[j] != tail for j in range(start, len(syms))):
             raise MapError(
                 f"emitter symbol {tail} at coordinate {emitter_at + 1} does "
                 f"not persist: the class is not shift invariant on {x}")
         out = FinitePoint(tuple(syms[:emitter_at]), tail)
-        _check_output(phi.target, out, cap)
+        _check_output(phi.target, out)
         if length(x) != INFINITE and length(x) < emitter_at:
             raise MapError("image is longer than a finite input whose tail "
                            "maps to a length-zero point")
@@ -300,7 +301,7 @@ def eval_map(phi, x: Point, depth: int | None = None,
     elif closes is not None:
         m, p = closes[0], closes[1] - closes[0]
         out = PeriodicPoint(tuple(syms[:m]), tuple(syms[m:m + p]))
-        _check_output(phi.target, out, cap)
+        _check_output(phi.target, out)
         res = EvalResult(tuple(syms), out, "resolved periodic")
     else:
         return EvalResult(tuple(syms), None,
@@ -310,8 +311,8 @@ def eval_map(phi, x: Point, depth: int | None = None,
     return res
 
 
-def _check_output(h: Ultragraph, out: Point, cap: int) -> None:
-    problems = [p for p in validate_point(h, out, cap)
+def _check_output(h: Ultragraph, out: Point) -> None:
+    problems = [p for p in validate_point(h, out)
                 if not p.startswith("unknown:")]
     if problems:
         raise MapError(f"image {out} is not a point of the target shift: "
@@ -421,9 +422,9 @@ class EdgeConstraint:
     kind: str = "over"
 
 
-def _schema_first_edges(g: Ultragraph, s: PcSchema, prefix: tuple,
-                        param_restrict: IndexSet | None,
-                        max_rep: int = 16) -> EdgeConstraint | None:
+def _schema_first_edges(
+        g: Ultragraph, s: PcSchema, prefix: tuple,
+        param_restrict: IndexSet | None) -> EdgeConstraint | None:
     """Edges e for which some point with the given path prefix then e can
     match the schema."""
     n = len(prefix)
@@ -470,14 +471,14 @@ def _aligned_first_edges(g: Ultragraph, s: PcSchema, atoms: list,
     end = start + len(atoms) - 1
     if end < n + 1:
         # schema satisfied inside the prefix: any extension edge works
-        ok, dom2 = _prefix_consistent(g, atoms, start, prefix, dom)
+        ok, dom2 = _prefix_consistent(atoms, start, prefix, dom)
         if not ok:
             return None
         return g.all_edges(), True
     if start > n + 1:
         # constrains only deeper coordinates: any first edge might work
         return g.all_edges(), False
-    ok, dom2 = _prefix_consistent(g, atoms[:n + 1 - start], start, prefix, dom)
+    ok, dom2 = _prefix_consistent(atoms[:n + 1 - start], start, prefix, dom)
     if not ok:
         return None
     pivot = atoms[n + 1 - start]
@@ -498,7 +499,7 @@ def _aligned_first_edges(g: Ultragraph, s: PcSchema, atoms: list,
     raise MapError("repetitions are expanded before alignment")
 
 
-def _prefix_consistent(g: Ultragraph, atoms, start: int, prefix: tuple,
+def _prefix_consistent(atoms, start: int, prefix: tuple,
                        dom: IndexSet | None):
     """Whether the pattern atoms lying inside the prefix agree with it;
     narrows the parameter domain along the way."""
@@ -671,7 +672,7 @@ def _witness_through_edge(phi, prefix: tuple, e: EdgeRef, good: SymbolSet,
     for cand in cands:
         try:
             sym = phi.symbol_at(cand)
-        except (PartitionError, MapError):
+        except MapError:
             continue
         if not good.contains(sym):
             return cand, sym
@@ -811,13 +812,14 @@ def _escape_verdict(check: str, phi, prefix: tuple, tail: MinimalEmitter,
 
 
 def _verify_infinite_escape(phi, prefix, bad_edges: SymbolicSet,
-                            good: SymbolSet, count: int = 3):
+                            good: SymbolSet):
+    """Three escaping points among seven sampled edges, or None."""
     found = []
-    for fam, idx in bad_edges.sample(count + 4):
+    for fam, idx in bad_edges.sample(7):
         got = _witness_through_edge(phi, prefix, EdgeRef(fam, idx), good)
         if got is not None:
             found.append(got)
-        if len(found) >= count:
+        if len(found) >= 3:
             return {"escaping-family": bad_edges, "examples": found}
     return None
 
@@ -874,7 +876,7 @@ def compute_A_x(phi, x_bar: FinitePoint, x: Point, tries: int = 24,
             try:
                 if phi.symbol_at(w) == c:
                     total = total.union(SymbolicSet.singleton(fam, idx))
-            except (PartitionError, MapError):
+            except MapError:
                 pass
         exact = False
     result = total.intersect(eps)
@@ -899,7 +901,7 @@ def check_genchl_iib(phi, x_bar: FinitePoint, samples_through: int = 6,
             continue
         try:
             c = phi.symbol_at(w)
-        except (PartitionError, MapError):
+        except MapError:
             continue
         if isinstance(c, MinimalEmitter) or not eps_B.contains(c.family, c.index):
             continue
@@ -915,8 +917,7 @@ def check_genchl_iib(phi, x_bar: FinitePoint, samples_through: int = 6,
 
 
 def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
-                       tries: int = 16,
-                       cap: int = DEFAULT_CLOSURE_CAP) -> Verdict:
+                       tries: int = 16) -> Verdict:
     """At a zero-length point with infinite constant image (d d d ...),
     some cylinder at the point must stay inside the class of d for M
     shifts."""
@@ -930,12 +931,12 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
                        "the image of the zero-length point has length zero",
                        bounds=bounds)
     cov, cov_exact = _sure_first_symbol_coverage(phi, d_sym)
-    emitters, _ = g.minimal_infinite_emitters(cap)
+    emitters, _ = g.minimal_infinite_emitters()
     zero_ok = {}
     for m in emitters:
         try:
             zero_ok[m] = phi.symbol_at(FinitePoint((), m)) == d_sym
-        except (PartitionError, MapError):
+        except MapError:
             zero_ok[m] = False
     # tails inside A sit in every cylinder at A regardless of F
     for m in emitters:
@@ -1039,7 +1040,7 @@ def _iii_escape_witness(phi, A: MinimalEmitter, gap: SymbolicSet, d_sym,
         for x in starts:
             try:
                 sym = phi.symbol_at(shift_n(x, step))
-            except (PartitionError, MapError):
+            except MapError:
                 continue
             if sym != d_sym:
                 return {"point": x, "step": step, "symbol": sym}
@@ -1047,15 +1048,16 @@ def _iii_escape_witness(phi, A: MinimalEmitter, gap: SymbolicSet, d_sym,
 
 
 def _backward_paths(g: Ultragraph, target: EdgeRef, steps: int,
-                    first_allowed: SymbolicSet, width: int = 6):
-    """Points x with x_{steps+1} = target whose first edge is allowed."""
+                    first_allowed: SymbolicSet):
+    """Points x with x_{steps+1} = target whose first edge is allowed,
+    growing each partial path back by up to six sampled edges a step."""
     partial = [[target]]
     for _ in range(steps):
         grown = []
         for p in partial:
             vf, vi = g.source(p[0])
             preds = g.epsilon(SymbolicSet.singleton(vf, vi))
-            for fam, idx in preds.sample(width):
+            for fam, idx in preds.sample(6):
                 grown.append([EdgeRef(fam, idx)] + p)
         partial = grown
     out = []
@@ -1068,13 +1070,12 @@ def _backward_paths(g: Ultragraph, target: EdgeRef, steps: int,
     return out
 
 
-def check_length_preserving(phi, samples, tries: int = 24,
-                            cap: int = DEFAULT_CLOSURE_CAP) -> Verdict:
+def check_length_preserving(phi, samples, tries: int = 24) -> Verdict:
     """Length preservation: the emitter classes must contain exactly the
     zero-length points, edge classes must be open, and the excluded-set
     and finite-extension conditions must hold at zero-length points."""
     g = phi.source
-    src_emitters, _ = g.minimal_infinite_emitters(cap)
+    src_emitters, _ = g.minimal_infinite_emitters()
     bounds = {"samples": len(samples), "tries": tries}
     for m in src_emitters:
         x0 = FinitePoint((), m)
@@ -1088,7 +1089,7 @@ def check_length_preserving(phi, samples, tries: int = 24,
             continue
         try:
             sym = phi.symbol_at(x)
-        except (PartitionError, MapError, PointError):
+        except (MapError, PointError):
             continue
         if isinstance(sym, MinimalEmitter):
             return Verdict(
@@ -1133,17 +1134,14 @@ class ProbeBounds:
 
 
 def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
-                     rng: random.Random | None = None,
-                     strategies=None) -> Verdict:
+                     rng: random.Random | None = None) -> Verdict:
     """Drive sequences converging to x through the map and test whether the
     images converge to the image of x.  A failure produces the witness
     sequence, the stuck image symbols, and the separating excluded set.
 
-    ``strategies`` optionally replaces the built-in approach strategies
-    with (label, sequence) pairs, where a sequence is a RepeatFamily or a
-    callable n -> point."""
+    The approach strategies are deterministic: ``rng`` is accepted for
+    callers that pass one and does not affect the verdict."""
     bounds = bounds or ProbeBounds()
-    rng = rng or random.Random(0)
     g = phi.source
     # every evaluation of this probe reads one memo, dropped on return
     phi = _ProbeMemo(phi)
@@ -1153,8 +1151,7 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
         return Verdict("probe-continuity", UNKNOWN, str(err), x)
     worst = HOLDS
     notes = []
-    if strategies is None:
-        strategies = _approach_strategies(g, x, bounds, rng)
+    strategies = _approach_strategies(g, x, bounds)
     # orbits grow with the sequence index, so give evaluation headroom
     eval_depth = bounds.depth + 2 * bounds.conv.n_max + 8
     for label, seq in strategies:
@@ -1225,12 +1222,13 @@ class _ProbeMemo:
         return sym
 
 
-def _approach_strategies(g: Ultragraph, x: Point, bounds: ProbeBounds,
-                         rng: random.Random):
+def _approach_strategies(g: Ultragraph, x: Point, bounds: ProbeBounds):
+    """(label, sequence) pairs, where a sequence is a RepeatFamily or a
+    callable n -> point."""
     out = [("constant", lambda n: x)]
     if length(x) == INFINITE:
         out.extend(_swerve_strategies(g, x, bounds))
-        out.extend(_truncate_strategy(g, x, bounds))
+        out.extend(_truncate_strategy(g, x))
     else:
         out.extend(_escape_strategy(g, x, bounds))
     return out
@@ -1274,7 +1272,7 @@ def _swerve_strategies(g, x, bounds: ProbeBounds):
     return [("swerve after a growing prefix", seq)]
 
 
-def _truncate_strategy(g, x, bounds: ProbeBounds):
+def _truncate_strategy(g, x):
     def seq(n):
         edges = tuple(coordinate(x, i) for i in range(1, n + 1))
         tails, _ = g.range_emitters(edges[-1])

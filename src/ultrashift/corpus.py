@@ -510,9 +510,8 @@ def _fixture_d() -> Fixture:
     return fx
 
 
-def _pool_of(g: Ultragraph, size: int, seed: int = 1) -> list:
-    rng = random.Random(seed)
-    return sampling.point_pool(g, rng, size)
+def _pool_of(g: Ultragraph, size: int) -> list:
+    return sampling.point_pool(g, random.Random(1), size)
 
 
 _BUILDERS = {"a": _fixture_a, "b": _fixture_b, "c": _fixture_c,

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import DEFAULT_CLOSURE_CAP, EdgeRef, Ultragraph, bounded_edges
+from .graphs import EdgeRef, Ultragraph, bounded_edges
 from .intsets import AffineIndexMap, IDENTITY_MAP, IndexSet, SymbolicSet
 from .paths import Block, PathError, Ultrapath, enumerate_blocks
 from .points import (
@@ -241,17 +241,17 @@ def _edge_var_schemas(prefix_lits, edges: SymbolicSet, note: str):
     return out
 
 
-def decompose_cylinder(g: Ultragraph, D: Cylinder,
-                       cap: int = DEFAULT_CLOSURE_CAP) -> FdPresentation:
+def decompose_cylinder(g: Ultragraph, D: Cylinder) -> FdPresentation:
     """Present a generalized cylinder and its complement as schema unions.
 
     The positive side extends the base by each allowed next edge or by a
     minimal emitter tail inside the terminal set; the negative side covers
     prefix mismatches position by position, then forbidden or foreign next
     edges, then emitter tails not inside the terminal set."""
-    emitters, complete = g.minimal_infinite_emitters(cap)
+    emitters, complete = g.minimal_infinite_emitters()
     if not complete:
-        raise SchemaError("minimal emitter inventory is incomplete; raise the cap")
+        raise SchemaError("minimal emitter inventory is incomplete: the "
+                          "closure did not saturate within its cap")
     base, F = D.base, D.excluded
     A = base.terminal
     gamma = [LitAtom(e) for e in base.edges]
@@ -448,7 +448,7 @@ def _merge_fixed(g: Ultragraph, s1: PcSchema, s2: PcSchema,
         if a1 is None or a2 is None:
             merged.append(a1 or a2)
             continue
-        u = _unify_atoms(a1, a2, s1.param_domain or s2.param_domain, param_fix)
+        u = _unify_atoms(a1, a2, param_fix)
         if u is None:
             return []
         merged.append(u)
@@ -499,7 +499,7 @@ def _tie_parameters(s1: PcSchema, s2: PcSchema):
     return PcSchema(s2.anchor, atoms, dom, s2.note), dom
 
 
-def _unify_atoms(a1, a2, dom: IndexSet | None, param_fix: list):
+def _unify_atoms(a1, a2, param_fix: list):
     if isinstance(a1, LitAtom) and isinstance(a2, LitAtom):
         return a1 if a1.symbol == a2.symbol else None
     if isinstance(a1, VarAtom) and isinstance(a2, VarAtom):

@@ -13,7 +13,7 @@ constant set, or ``const ∪ {v_{m1(k)}, ...}`` for a parameter ``k`` ranging
 over a guard.  Any finite intersection of edge ranges equals an
 intersection of case constants together with finitely many extra vertices,
 which is what makes the decision procedures below complete for this class
-(up to the saturation cap).
+(up to ``CLOSURE_CAP``, the saturation cap).
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .intsets import (
 # canonicalization; larger ones stay symbolic and mark closures incomplete.
 INSTANTIATE_CAP = 64
 
-DEFAULT_CLOSURE_CAP = 1000
+# The closure of range intersections stops growing at this many sets and
+# is then reported unsaturated; read at call time.
+CLOSURE_CAP = 1000
 
 # Per-edge answers are memoized per graph; a memo holding this many entries
 # is emptied before it takes another, so walks far from the index origin
@@ -372,16 +374,15 @@ class Ultragraph:
 
     # -- closure and algebra membership -----------------------------------
 
-    def cores(self, cap: int = DEFAULT_CLOSURE_CAP):
+    def cores(self):
         """Closure under intersection of the constant parts of canonical
         shapes.  Every finite intersection of edge ranges equals one of
         these sets plus finitely many vertices, so the cores are the
         infinite skeleton of the generated algebra.
 
         Returns (list of (SymbolicSet, label), saturated flag)."""
-        key = ("cores", cap)
-        if key in self._cache:
-            return self._cache[key]
+        if "cores" in self._cache:
+            return self._cache["cores"]
         shapes, complete = self.canonical_shapes()
         seeds: list[tuple[SymbolicSet, str]] = []
         seen: set[SymbolicSet] = set()
@@ -394,7 +395,7 @@ class Ultragraph:
         while work:
             cur, cur_label = work.pop()
             for other, other_label in list(seeds):
-                if len(seeds) >= cap:
+                if len(seeds) >= CLOSURE_CAP:
                     saturated = False
                     work = []
                     break
@@ -406,16 +407,15 @@ class Ultragraph:
                 seeds.append(item)
                 work.append(item)
         out = (seeds, saturated)
-        self._cache[key] = out
+        self._cache["cores"] = out
         return out
 
-    def range_intersection_closure(self, cap: int = DEFAULT_CLOSURE_CAP):
+    def range_intersection_closure(self):
         """Closure of the canonical range shapes under pairwise
         intersection, computed schematically over the index parameters.
         Returns (list of Shape, saturated flag)."""
-        key = ("closure", cap)
-        if key in self._cache:
-            return self._cache[key]
+        if "closure" in self._cache:
+            return self._cache["closure"]
         shapes, complete = self.canonical_shapes()
         pool: list[Shape] = list(shapes)
         seen = {(s.const, s.guard, s.atoms) for s in pool}
@@ -429,7 +429,7 @@ class Ultragraph:
                         sig = (c.const, c.guard, c.atoms)
                         if sig in seen:
                             continue
-                        if len(pool) >= cap:
+                        if len(pool) >= CLOSURE_CAP:
                             saturated = False
                             break
                         seen.add(sig)
@@ -441,7 +441,7 @@ class Ultragraph:
                     break
             frontier = nxt
         out = (pool, saturated)
-        self._cache[key] = out
+        self._cache["closure"] = out
         return out
 
     def _survive_in(self, atoms, other_const: SymbolicSet, guard: IndexSet):
@@ -502,7 +502,7 @@ class Ultragraph:
                 self._split_shape(core, guard, triples, label, out)
         return _dedupe_shapes(out)
 
-    def is_in_g0(self, vertices: SymbolicSet, cap: int = DEFAULT_CLOSURE_CAP):
+    def is_in_g0(self, vertices: SymbolicSet):
         """Decide membership in the algebra generated by singleton vertices
         and edge ranges under finite unions and nonempty intersections.
 
@@ -512,7 +512,7 @@ class Ultragraph:
             return "no", "the empty set is not in the algebra"
         if not vertices.subset_of(self.all_vertices()):
             return "no", "not a subset of the vertex set"
-        cores, saturated = self.cores(cap)
+        cores, saturated = self.cores()
         used = []
         covered = SymbolicSet.empty()
         for core, label in cores:
@@ -536,7 +536,7 @@ class Ultragraph:
 
     # -- minimal infinite emitters ----------------------------------------
 
-    def minimal_infinite_emitters(self, cap: int = DEFAULT_CLOSURE_CAP):
+    def minimal_infinite_emitters(self):
         """All minimal infinite emitters, with certificates.
 
         Candidates are singleton infinite-emitter vertices plus closure
@@ -544,10 +544,9 @@ class Ultragraph:
         algebra contains one of these, so the subset-minimal candidates are
         exactly the minimal infinite emitters (complete when the closure
         saturated).  Returns (list of MinimalEmitter, complete flag)."""
-        key = ("memit", cap)
-        if key in self._cache:
-            return self._cache[key]
-        cores, saturated = self.cores(cap)
+        if "memit" in self._cache:
+            return self._cache["memit"]
+        cores, saturated = self.cores()
         cands: list[tuple[SymbolicSet, str]] = []
         for vf, k in self.infinite_emitter_vertices().members():
             cands.append((SymbolicSet.singleton(vf, k),
@@ -565,23 +564,21 @@ class Ultragraph:
             result.append(MinimalEmitter(s, cert))
         result.sort(key=lambda m: str(m.vertices))
         out = (result, saturated)
-        self._cache[key] = out
+        self._cache["memit"] = out
         return out
 
-    def minimal_emitters_in(self, vertices: SymbolicSet,
-                            cap: int = DEFAULT_CLOSURE_CAP):
+    def minimal_emitters_in(self, vertices: SymbolicSet):
         """Minimal infinite emitters contained in the given vertex set."""
-        emitters, complete = self.minimal_infinite_emitters(cap)
+        emitters, complete = self.minimal_infinite_emitters()
         return [m for m in emitters if m.vertices.subset_of(vertices)], complete
 
-    def range_emitters(self, e: EdgeRef, cap: int = DEFAULT_CLOSURE_CAP):
+    def range_emitters(self, e: EdgeRef):
         """Minimal infinite emitters contained in r(e): a tuple, and the
         completeness flag of ``minimal_emitters_in``."""
-        key = (e, cap)
-        got = self._range_emitters.get(key)
+        got = self._range_emitters.get(e)
         if got is None:
-            found, complete = self.minimal_emitters_in(self.range_of(e), cap)
-            got = _remember(self._range_emitters, key,
+            found, complete = self.minimal_emitters_in(self.range_of(e))
+            got = _remember(self._range_emitters, e,
                             (tuple(found), complete))
         return got
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (DEFAULT_CLOSURE_CAP, EdgeRef, MinimalEmitter, Ultragraph,
-                     bounded_edges)
+from .graphs import EdgeRef, MinimalEmitter, Ultragraph, bounded_edges
 from .intsets import SymbolicSet
 
 
@@ -44,8 +43,7 @@ def edges_adjacent(g: Ultragraph, prev: EdgeRef, nxt: EdgeRef) -> bool:
     return g.source_in(nxt, g.range_of(prev))
 
 
-def validate_ultrapath(g: Ultragraph, up: Ultrapath,
-                       cap: int = DEFAULT_CLOSURE_CAP) -> list[str]:
+def validate_ultrapath(g: Ultragraph, up: Ultrapath) -> list[str]:
     """Problems with the ultrapath; an 'unknown:' entry is a warning, any
     other entry is a hard violation."""
     problems = []
@@ -61,7 +59,7 @@ def validate_ultrapath(g: Ultragraph, up: Ultrapath,
         return problems
     if up.edges and not up.terminal.subset_of(g.range_of(up.last())):
         problems.append("terminal set is not contained in the last range")
-    verdict, info = g.is_in_g0(up.terminal, cap)
+    verdict, info = g.is_in_g0(up.terminal)
     if verdict == "no":
         problems.append(f"terminal set is outside the vertex-set algebra: {info}")
     elif verdict == "unknown":
@@ -103,8 +101,7 @@ def check_concat_compatible(g: Ultragraph, x: Ultrapath, y) -> None:
             raise PathError(f"source of {first} not in {r}")
 
 
-def minimal_emitters_in_range(g: Ultragraph, edges,
-                              cap: int = DEFAULT_CLOSURE_CAP):
+def minimal_emitters_in_range(g: Ultragraph, edges):
     """Minimal infinite emitters inside the range of a (validated) finite
     edge path.  Raises on an invalid path."""
     edges = tuple(edges)
@@ -116,7 +113,7 @@ def minimal_emitters_in_range(g: Ultragraph, edges,
     for prev, nxt in zip(edges, edges[1:]):
         if not edges_adjacent(g, prev, nxt):
             raise PathError(f"source of {nxt} is not in the range of {prev}")
-    return g.minimal_emitters_in(g.range_of(edges[-1]), cap)
+    return g.minimal_emitters_in(g.range_of(edges[-1]))
 
 
 # -- blocks ------------------------------------------------------------------
@@ -138,13 +135,12 @@ class Block:
         return "(" + " ".join(str(s) for s in self.symbols) + ")"
 
 
-def validate_block(g: Ultragraph, b: Block,
-                   cap: int = DEFAULT_CLOSURE_CAP) -> list[str]:
+def validate_block(g: Ultragraph, b: Block) -> list[str]:
     problems = []
     if not b.symbols:
         problems.append("blocks are nonempty")
         return problems
-    emitters, _ = g.minimal_infinite_emitters(cap)
+    emitters, _ = g.minimal_infinite_emitters()
     known = {m.vertices for m in emitters}
     for i, sym in enumerate(b.symbols):
         prev = b.symbols[i - 1] if i else None
@@ -156,7 +152,7 @@ def validate_block(g: Ultragraph, b: Block,
             if isinstance(prev, MinimalEmitter):
                 if prev != sym:
                     problems.append("emitter tails are constant")
-            elif not any(m == sym for m in g.range_emitters(prev, cap)[0]):
+            elif not any(m == sym for m in g.range_emitters(prev)[0]):
                 problems.append(
                     f"{sym} is not a minimal emitter inside r({prev})")
         else:
@@ -169,14 +165,13 @@ def validate_block(g: Ultragraph, b: Block,
     return problems
 
 
-def enumerate_blocks(g: Ultragraph, n: int, index_bound: int,
-                     cap: int = DEFAULT_CLOSURE_CAP) -> list[Block]:
+def enumerate_blocks(g: Ultragraph, n: int, index_bound: int) -> list[Block]:
     """All length-n blocks whose edge indices lie in [-index_bound,
     index_bound].  Complete relative to the bound; exact for finite graphs
     once the bound covers every index."""
     if n < 1:
         raise ValueError("block length must be at least 1")
-    emitters, _ = g.minimal_infinite_emitters(cap)
+    emitters, _ = g.minimal_infinite_emitters()
     first: list = bounded_edges(g.all_edges(), index_bound) + list(emitters)
     words = [[s] for s in first]
     for _ in range(n - 1):
@@ -188,7 +183,7 @@ def enumerate_blocks(g: Ultragraph, n: int, index_bound: int,
                 continue
             for e2 in g.bounded_successors(last, index_bound):
                 grown.append(w + [e2])
-            for m in g.range_emitters(last, cap)[0]:
+            for m in g.range_emitters(last)[0]:
                 grown.append(w + [m])
         words = grown
     return [Block(tuple(w)) for w in words]

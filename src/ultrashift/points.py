@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import (
-    DEFAULT_CLOSURE_CAP,
-    EdgeRef,
-    MinimalEmitter,
-    Ultragraph,
-)
+from .graphs import EdgeRef, MinimalEmitter, Ultragraph
 from .intsets import INFINITE, IndexSet, SymbolicSet
 from .paths import Ultrapath, check_concat_compatible, edges_adjacent
 from .verdicts import FAILS, HOLDS, UNKNOWN, Verdict
@@ -162,12 +157,11 @@ def points_equal(x: Point, y: Point, depth: int = 64) -> bool:
     return x == y
 
 
-def validate_point(g: Ultragraph, x: Point,
-                   cap: int = DEFAULT_CLOSURE_CAP) -> list[str]:
+def validate_point(g: Ultragraph, x: Point) -> list[str]:
     """Problems with x as a point of the shift space of g; entries starting
     with 'unknown:' are warnings from unsaturated closures."""
     problems: list[str] = []
-    emitters, complete = g.minimal_infinite_emitters(cap)
+    emitters, complete = g.minimal_infinite_emitters()
     if isinstance(x, FinitePoint):
         for prev, nxt in zip(x.path, x.path[1:]):
             if not edges_adjacent(g, prev, nxt):
@@ -176,7 +170,7 @@ def validate_point(g: Ultragraph, x: Point,
             problems.append("finite points need a tail emitter")
             return problems
         pool = emitters if not x.path else \
-            g.range_emitters(x.path[-1], cap)[0]
+            g.range_emitters(x.path[-1])[0]
         if not any(m == x.tail for m in pool):
             if complete:
                 problems.append(f"{x.tail} is not a legal tail here")

@@ -44,12 +44,3 @@ class Verdict:
         if self.witness is not None:
             bits.append(f"witness: {self.witness}")
         return " | ".join(bits)
-
-
-def worst(verdicts) -> str:
-    order = {FAILS: 3, UNKNOWN: 2, HOLDS: 1, NOT_APPLICABLE: 0}
-    status = NOT_APPLICABLE
-    for v in verdicts:
-        if order[v.status] > order[status]:
-            status = v.status
-    return status

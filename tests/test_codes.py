@@ -8,6 +8,7 @@ from ultrashift.codes import (
     MapError,
     MapPresentation,
     OracleClass,
+    _ProbeMemo,
     PartitionError,
     RuleMap,
     SchemaClass,
@@ -137,18 +138,45 @@ def test_eval_catches_non_invariant_emitter_class():
 
 
 def _reference_eval(phi, x):
-    """The map along the orbit of x, walked until a point comes back, with
-    the image built from the symbols: (symbols, image)."""
+    """The map along the orbit of x, walked until a point comes back and
+    then once more around the cycle, with the image built from the
+    symbols: (symbols of the first walk, image), or None when an emitter
+    symbol does not persist over both walks."""
     syms, seen, cur = [], {}, x
     while cur not in seen:
         seen[cur] = len(syms)
         syms.append(phi.symbol_at(cur))
         cur = shift(cur)
+    first, m = len(syms), seen[cur]
+    for _ in range(first - m):
+        syms.append(phi.symbol_at(cur))
+        cur = shift(cur)
     tails = [i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)]
     if tails:
-        return tuple(syms), FinitePoint(tuple(syms[:tails[0]]), syms[tails[0]])
-    m = seen[cur]
-    return tuple(syms), PeriodicPoint(tuple(syms[:m]), tuple(syms[m:]))
+        if any(s != syms[tails[0]] for s in syms[tails[0]:]):
+            return None
+        return tuple(syms[:first]), FinitePoint(tuple(syms[:tails[0]]),
+                                                syms[tails[0]])
+    return tuple(syms[:first]), PeriodicPoint(tuple(syms[:m]),
+                                              tuple(syms[m:first]))
+
+
+def _first_rule(symbols):
+    """A rule map on fixture a's graphs: the tail B at points whose first
+    coordinate is in ``symbols``, e[1] elsewhere.  Its emitter class is
+    not shift invariant."""
+    def rule(x):
+        from ultrashift.points import coordinate as coord
+        return B_V if coord(x, 1) in symbols else e(1)
+    return RuleMap(GA, HA, rule, f"B after {symbols}")
+
+
+def _eval_or_error(phi, x):
+    try:
+        got = eval_map(phi, x)
+    except MapError:
+        return None
+    return got.prefix, got.resolved
 
 
 def test_eval_orbit_closure_matches_a_reference_walk():
@@ -157,23 +185,35 @@ def test_eval_orbit_closure_matches_a_reference_walk():
              PeriodicPoint((d(), f(2)), (f(3),)),
              # non-primitive cycles, stored primitive
              PeriodicPoint((d(), f(3)), (f(3), f(3))),
-             PeriodicPoint((d(),), (f(1), f(2), f(1), f(2)))],
+             PeriodicPoint((d(),), (f(1), f(2), f(1), f(2))),
+             # the emitter symbol of a rule map below appears after the
+             # preamble, so the cycle brings other symbols back after it
+             PeriodicPoint((), (d(), f(1))),
+             PeriodicPoint((d(),), (f(2), f(1))),
+             PeriodicPoint((d(), d()), (f(1),)),
+             FinitePoint((d(), f(1)), A_W)],
         "b": [PeriodicPoint((n(0), n(0)), (n(1), n(0), n(1), n(0)))],
         "d": [FinitePoint((), A_D),
              PeriodicPoint((e(3),), (e(0), e(1), e(0), e(1)))],
     }
-    compared = 0
+    rule_maps = {"a": [_first_rule({f(1)}), _first_rule({d()}),
+                       _first_rule({f(1), A_W})]}
+    compared = refused = 0
     for fx in (FA, FB, build_fixture("c"), FD):
         points = fx.sample_pool(30, 5) + extra.get(fx.name, [])
-        for phi in fx.maps.values():
+        for phi in list(fx.maps.values()) + rule_maps.get(fx.name, []):
             if phi.source is not fx.source:
                 continue
+            memo = _ProbeMemo(phi)
             for x in points:
-                syms, image = _reference_eval(phi, x)
-                got = eval_map(phi, x)
-                assert (got.prefix, got.resolved) == (syms, image), x
+                want = _reference_eval(phi, x)
+                assert _eval_or_error(phi, x) == want, (phi, x)
+                # the same through a probe memo holding the shift's image
+                _eval_or_error(memo, shift(x))
+                assert _eval_or_error(memo, x) == want, (phi, x)
                 compared += 1
-    assert compared > 150
+                refused += want is None
+    assert compared > 200 and refused > 10
 
 
 def test_finite_image_bound_when_tail_maps_to_length_zero():

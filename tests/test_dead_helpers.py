@@ -1,4 +1,5 @@
-"""Guard against dead private helpers in the package."""
+"""Guard against dead private helpers and dead helper parameters in the
+package."""
 
 import ast
 import pathlib
@@ -39,4 +40,52 @@ def test_every_private_top_level_helper_is_referenced():
             for mod, line, name in uses)
         if not used:
             dead.append(f"{module}:{node.lineno} {node.name}")
+    assert dead == []
+
+
+def _parameters(node):
+    """(positional, all, defaulted) parameters of a function definition."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    defaulted = positional[len(positional) - len(a.defaults):] + [
+        p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional, positional + a.kwonlyargs, defaulted
+
+
+def _passes(call, positional, param) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg in (None, param.arg) for k in call.keywords):
+        return True
+    return param in positional and positional.index(param) < len(call.args)
+
+
+def test_every_private_helper_parameter_is_read_and_set():
+    # a parameter nothing reads, or a default no call overrides, is an
+    # option that selects nothing
+    modules = [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+               for path in sorted(PACKAGE.glob("*.py"))]
+    calls = {}
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    dead = []
+    for module, tree in modules:
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or \
+                    not node.name.startswith("_") or \
+                    node.name.startswith("__"):
+                continue
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and
+                    isinstance(n.ctx, ast.Load)}
+            positional, params, defaulted = _parameters(node)
+            where = f"{module}:{node.lineno} {node.name}"
+            dead += [f"{where}({p.arg}) is never read" for p in params
+                     if p.arg not in read]
+            dead += [f"{where}({p.arg}) is never passed" for p in defaulted
+                     if not any(_passes(c, positional, p)
+                                for c in calls.get(node.name, []))]
     assert dead == []

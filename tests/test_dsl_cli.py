@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ultrashift import dsl
+from ultrashift import corpus, dsl
 from ultrashift.cli import main
 from ultrashift.corpus import (
     d,
@@ -341,6 +341,42 @@ def test_env_bounds_override(doc_file, monkeypatch, capsys):
     assert "samples=10" in out
 
 
+@pytest.mark.parametrize("raw", ["tries=abc", "trys=6", "tries",
+                                 "samples=10,depth="])
+@pytest.mark.parametrize("argv", [
+    ["check", "commute", "DOC", "--map", "Phi"],
+    ["converge", "DOC", "--seq", "a.dn_f1", "--target", "target",
+     "--graph", "G"],
+])
+def test_malformed_env_bounds_are_a_usage_error(doc_file, monkeypatch,
+                                                capsys, raw, argv):
+    # a mistyped bound must not leave the verdicts at the default bounds
+    monkeypatch.setenv("ULTRASHIFT_DEFAULT_BOUNDS", raw)
+    assert main([doc_file if a == "DOC" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ULTRASHIFT_DEFAULT_BOUNDS" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "DOC", "--map", "Phi", "--point", "inf: d d (f[3])*"],
+    ["refute-fd", "DOC", "--oracle", "a.C_B", "--point",
+     "fin: d d | auto", "--graph", "G", "--max-window", "2"],
+    ["converge", "DOC", "--seq", "a.dn_f1", "--target", "target",
+     "--graph", "G"],
+])
+def test_one_registry_per_command(doc_file, monkeypatch, capsys, argv):
+    built = []
+
+    def counting_registry():
+        built.append(1)
+        return registry()
+
+    monkeypatch.setattr(corpus, "registry", counting_registry)
+    assert main([doc_file if a == "DOC" else a for a in argv]) in (0, 2)
+    assert len(built) == 1
+
+
 MAP_WITHOUT_TAIL_CLASS = GRAPH_A_WITH_MAP + """
 map NoTail : G -> H {
   class e[j] for j in >=1 {
@@ -399,7 +435,7 @@ def test_audit_reports_package_errors_and_lets_other_faults_surface():
         def __init__(self, err):
             self.err = err
 
-        def symbol_at(self, x, max_rep=64):
+        def symbol_at(self, x):
             raise self.err
 
     v = Verdict("length-preserving", "fails", "", FinitePoint((), None))

@@ -16,6 +16,8 @@ from ultrashift.corpus import (
     graph_sinky,
     finite_cycle_graph,
 )
+from ultrashift import graphs
+from ultrashift.definable import SchemaError, decompose_cylinder
 from ultrashift.graphs import (
     EdgeFamily,
     EdgeRef,
@@ -34,6 +36,8 @@ from ultrashift.intsets import (
     const_map,
     shift_map,
 )
+from ultrashift.paths import Ultrapath
+from ultrashift.points import Cylinder
 
 P = SymbolicSet.of(("w", IndexSet.at_most(-1)))
 Q = SymbolicSet.of(("w", IndexSet.at_least(1)))
@@ -294,6 +298,25 @@ def test_every_reported_emitter_is_infinite_and_minimal():
             for core, _label in cores:
                 if core.proper_subset_of(m.vertices):
                     assert g.epsilon(core).cardinality() != INFINITE
+
+
+def test_unsaturated_closure_gives_incomplete_answers(monkeypatch):
+    ray = SymbolicSet.of(("w", IndexSet.at_least(5)))
+    assert graph_d_target().is_in_g0(ray)[0] == "no"
+    # the cap is read when a graph first builds its closure; fixture d's
+    # target has two closure seeds, so a cap of one stops it unsaturated
+    monkeypatch.setattr(graphs, "CLOSURE_CAP", 1)
+    h = graph_d_target()
+    assert h.cores()[1] is False
+    assert h.range_intersection_closure()[1] is False
+    emitters, complete = h.minimal_infinite_emitters()
+    assert not complete
+    assert {m.vertices for m in emitters} == {P, Q}
+    # a union of the cores found is still a member; beyond them, unknown
+    assert h.is_in_g0(P.union(Q))[0] == "yes"
+    assert h.is_in_g0(ray)[0] == "unknown"
+    with pytest.raises(SchemaError):
+        decompose_cylinder(h, Cylinder(Ultrapath((), Q)))
 
 
 def test_minimal_emitters_in_range():
