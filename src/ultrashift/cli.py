@@ -245,7 +245,10 @@ def _check_verdicts(kind: str, phi, samples, env):
                 else:
                     yield check_genchl_iia(phi, x0, tries)
                     yield check_genchl_iib(phi, x0, tries=tries)
-            yield check_csc_item_iii(phi, x0.tail, M=M)
+            # item iii's default tries is 16, not 24; an environment value
+            # replaces both
+            yield check_csc_item_iii(phi, x0.tail, M=M,
+                                     tries=env.get("tries", 16))
     elif kind == "length-preserving":
         yield check_length_preserving(phi, samples, tries)
     else:
@@ -354,12 +357,8 @@ def cmd_converge(args) -> Report:
 
 def cmd_fixture(args) -> Report:
     report = Report(f"fixture run {args.name}")
-    result = corpus.run_fixture(args.name)
-    for row in result.rows:
-        status = HOLDS if row.ok else FAILS
-        report.add(Verdict(f"fixture-{args.name}:{row.key}", status,
-                           f"expected {row.expected}, got {row.actual}"
-                           + (f" | {row.detail}" if row.detail else "")))
+    for v in corpus.run_fixture(args.name):
+        report.add(v)
     return report
 
 

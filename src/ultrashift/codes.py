@@ -26,7 +26,6 @@ from .intsets import AffineIndexMap, IDENTITY_MAP, INFINITE, IndexSet, SymbolicS
 from .paths import Block
 from .points import (
     PointError,
-    Cylinder,
     FinitePoint,
     GeneratorPoint,
     PeriodicPoint,
@@ -36,7 +35,6 @@ from .points import (
     block_witness,
     check_convergence,
     coordinate,
-    cylinder_contains,
     length,
     shift,
     shift_n,
@@ -60,12 +58,13 @@ class PartitionError(MapError):
 
 
 class SchemaClass:
-    """A class given by schemas and cylinders.
+    """A class given by pseudo-cylinder schemas.
 
     With ``symbol`` fixed it assigns that one target symbol.  With
     ``family`` it covers the symbols ``family[index_map(param)]`` for the
     parameter running over ``index_domain``; every body schema must then
-    use the parameter."""
+    use the parameter.  A generalized cylinder D enters a class as the
+    schemas ``decompose_cylinder(g, D).positive``."""
 
     def __init__(self, body, symbol=None, family: str | None = None,
                  index_domain: IndexSet | None = None,
@@ -73,14 +72,18 @@ class SchemaClass:
                  label: str = ""):
         if (symbol is None) == (family is None):
             raise MapError("exactly one of symbol or family is required")
+        self.body = tuple(body)
+        for s in self.body:
+            if not isinstance(s, PcSchema):
+                raise MapError(
+                    f"class bodies hold schemas, not {s}; a cylinder D "
+                    f"enters as decompose_cylinder(g, D).positive")
         if family is not None:
             if index_domain is None:
                 raise MapError("family classes need an index domain")
-            for s in body:
-                if isinstance(s, PcSchema) and s.param_domain is None:
-                    raise MapError(
-                        "family class schemas must use the free parameter")
-        self.body = tuple(body)
+            if any(s.param_domain is None for s in self.body):
+                raise MapError(
+                    "family class schemas must use the free parameter")
         self.symbol = symbol
         self.family = family
         self.index_domain = index_domain
@@ -91,21 +94,17 @@ class SchemaClass:
     def is_emitter_class(self) -> bool:
         return isinstance(self.symbol, MinimalEmitter)
 
-    def symbols_for(self, g_source: Ultragraph, x: Point) -> list:
+    def symbols_for(self, x: Point) -> list:
         out = []
         for item in self.body:
-            if isinstance(item, Cylinder):
-                if cylinder_contains(g_source, item, x):
-                    out.append(self.symbol)
-            else:
-                m = match_schema(item, x)
-                if m is None:
-                    continue
-                if self.symbol is not None:
-                    out.append(self.symbol)
-                elif m.param is not None and self.index_domain.contains(m.param):
-                    out.append(EdgeRef(self.family,
-                                       self.index_map.apply(m.param)))
+            m = match_schema(item, x)
+            if m is None:
+                continue
+            if self.symbol is not None:
+                out.append(self.symbol)
+            elif m.param is not None and self.index_domain.contains(m.param):
+                out.append(EdgeRef(self.family,
+                                   self.index_map.apply(m.param)))
         uniq = []
         for s in out:
             if s not in uniq:
@@ -134,14 +133,12 @@ class OracleClass:
     def __init__(self, symbol, member, label: str = ""):
         self.symbol = symbol
         self.member = member
-        self.body = ()
-        self.family = None
         self.label = label or str(symbol)
 
     def is_emitter_class(self) -> bool:
         return isinstance(self.symbol, MinimalEmitter)
 
-    def symbols_for(self, g_source, x):
+    def symbols_for(self, x):
         return [self.symbol] if self.member(x) else []
 
     def covers_symbol(self, sym):
@@ -164,7 +161,7 @@ class MapPresentation:
     def symbol_at(self, x: Point):
         found = []
         for c in self.classes:
-            for sym in c.symbols_for(self.source, x):
+            for sym in c.symbols_for(x):
                 found.append((c, sym))
         if len(found) != 1:
             raise PartitionError(x, [str(c) for c, _ in found])
@@ -475,9 +472,6 @@ def _aligned_first_edges(g: Ultragraph, s: PcSchema, atoms: list,
         if not ok:
             return None
         return g.all_edges(), True
-    if start > n + 1:
-        # constrains only deeper coordinates: any first edge might work
-        return g.all_edges(), False
     ok, dom2 = _prefix_consistent(atoms[:n + 1 - start], start, prefix, dom)
     if not ok:
         return None
@@ -528,35 +522,8 @@ def _prefix_consistent(atoms, start: int, prefix: tuple,
     return True, dom
 
 
-def _cylinder_first_edges(g: Ultragraph, D: Cylinder, prefix: tuple):
-    n = len(prefix)
-    base = D.base.edges
-    if len(base) > n + 1:
-        if tuple(base[:n]) != tuple(prefix):
-            return None
-        e = base[n]
-        return SymbolicSet.singleton(e.family, e.index), False
-    if tuple(base) != tuple(prefix[:len(base)]):
-        return None
-    if len(base) <= n:
-        # the membership constraint falls at or before the prefix end
-        if len(base) < n:
-            probe = prefix[len(base)]
-        else:
-            probe = None
-        if probe is not None:
-            if D.excluded.contains(probe.family, probe.index) or \
-                    not g.source_in(probe, D.base.terminal):
-                return None
-            return g.all_edges(), True
-        allowed = g.epsilon(D.base.terminal).difference(D.excluded)
-        return allowed, True
-    return None
-
-
 def first_edges_into_class(phi, cls, prefix: tuple,
                            param_restrict: IndexSet | None = None,
-                           sample_bound: int = 8,
                            tries: int = 24) -> EdgeConstraint:
     """First-extension edges that can lead into the class after ``prefix``.
 
@@ -568,25 +535,18 @@ def first_edges_into_class(phi, cls, prefix: tuple,
         eps = g.all_edges()
         for fam, idx in eps.sample(tries):
             e = EdgeRef(fam, idx)
-            w = _try_point(g, tuple(prefix) + (e,), sample_bound)
+            w = _try_point(g, tuple(prefix) + (e,), 8)
             if w is not None and cls.member(w):
                 found.append((fam, IndexSet.of(idx)))
         return EdgeConstraint(SymbolicSet.of(*found), False, "under")
     total = SymbolicSet.empty()
     exact = True
     for item in cls.body:
-        if isinstance(item, Cylinder):
-            got = _cylinder_first_edges(g, item, prefix)
-            if got is None:
-                continue
-            edges, ex = got
-        else:
-            got = _schema_first_edges(g, item, prefix, param_restrict)
-            if got is None:
-                continue
-            edges, ex = got.edges, got.exact
-        total = total.union(edges)
-        exact = exact and ex
+        got = _schema_first_edges(g, item, prefix, param_restrict)
+        if got is None:
+            continue
+        total = total.union(got.edges)
+        exact = exact and got.exact
     if prefix:
         # only edges continuing the path are real extensions; sinkless
         # graphs then always admit a completion, keeping exactness
@@ -688,9 +648,9 @@ def check_csc_item_i(phi) -> Verdict:
 
     Accepted per body element: anchored at the first coordinate with an
     edge-only pattern (each instance is then a full cylinder over its
-    path), an explicit cylinder, or an emitter-ended pattern whose sibling
-    schemas cover all but finitely many extension edges (the finite
-    remainder becoming the excluded set).  Oracle-presented edge classes
+    path), or an emitter-ended pattern whose sibling schemas cover all but
+    finitely many extension edges (the finite remainder becoming the
+    excluded set).  Oracle-presented edge classes
     give 'unknown'."""
     g = phi.source
     if not phi.classes:
@@ -704,8 +664,6 @@ def check_csc_item_i(phi) -> Verdict:
             detail.append(f"{cls}: oracle-presented, cannot certify")
             continue
         for item in cls.body:
-            if isinstance(item, Cylinder):
-                continue
             ok, why = _certify_schema_open(g, cls, item)
             if ok:
                 continue
@@ -741,7 +699,7 @@ def _certify_schema_open(g: Ultragraph, cls, s: PcSchema):
     eps = g.epsilon(B.vertices)
     covered = SymbolicSet.empty()
     for sib in cls.body:
-        if not isinstance(sib, PcSchema) or sib.anchor != 1:
+        if sib.anchor != 1:
             continue
         if len(sib.atoms) != len(prefix) + 1 or \
                 tuple(sib.atoms[:len(prefix)]) != tuple(prefix):
@@ -989,7 +947,6 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
 def _sure_first_symbol_coverage(phi, d_sym):
     """Source edges e such that every point starting with e is certified to
     carry first image symbol d_sym."""
-    g = phi.source
     cov = SymbolicSet.empty()
     exact = True
     for cls in phi.classes:
@@ -1000,14 +957,6 @@ def _sure_first_symbol_coverage(phi, d_sym):
             exact = False
             continue
         for item in cls.body:
-            if isinstance(item, Cylinder):
-                if len(item.base.edges) == 0:
-                    cov = cov.union(g.epsilon(item.base.terminal)
-                                    .difference(item.excluded))
-                elif len(item.base.edges) == 1:
-                    e = item.base.edges[0]
-                    cov = cov.union(SymbolicSet.singleton(e.family, e.index))
-                continue
             if item.anchor != 1 or len(item.atoms) != 1:
                 continue
             a = item.atoms[0]

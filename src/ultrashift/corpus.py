@@ -4,7 +4,7 @@ Four named fixtures, each bundling source/target graphs, one or two shift
 commuting maps, interesting points, convergent sequences, and a table of
 expected checker verdicts.  They double as regression oracles for the
 whole artifact: ``run_fixture`` compares every expected verdict against a
-fresh computation.
+fresh computation and returns one verdict per comparison.
 
 Fixture summary:
   a - two one-vertex graphs with countably many loops; the map collapses a
@@ -524,37 +524,19 @@ def build_fixture(name: str) -> Fixture:
     return _BUILDERS[name]()
 
 
-@dataclass
-class FixtureRow:
-    key: str
-    expected: str
-    actual: str
-    detail: str
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass
-class FixtureReport:
-    name: str
-    rows: list
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def run_fixture(name: str) -> FixtureReport:
-    fx = build_fixture(name)
-    rows = []
-    for exp in fx.expectations:
+def run_fixture(name: str) -> list[Verdict]:
+    """One verdict per expectation of the fixture: it holds when a fresh
+    computation gives the expected status."""
+    out = []
+    for exp in build_fixture(name).expectations:
         result = exp.run()
         actual = getattr(result, "status", str(result))
         detail = getattr(result, "detail", "")
-        rows.append(FixtureRow(exp.key, exp.expected, actual, detail))
-    return FixtureReport(name, rows)
+        out.append(Verdict(f"fixture-{name}:{exp.key}",
+                           HOLDS if actual == exp.expected else FAILS,
+                           f"expected {exp.expected}, got {actual}"
+                           + (f" | {detail}" if detail else "")))
+    return out
 
 
 def registry() -> dict:

@@ -79,26 +79,15 @@ def concat_paths(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> Ultrapath:
     return Ultrapath(x.edges + y.edges, y.terminal)
 
 
-def check_concat_compatible(g: Ultragraph, x: Ultrapath, y) -> None:
+def check_concat_compatible(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> None:
     """y may follow x when s(y) lies in r(x) (as element for positive
     length, as subset for length zero)."""
-    from . import points  # Point kinds live one module up the stack
-
     r = x.terminal
-    if isinstance(y, Ultrapath):
-        if y.edges:
-            if not g.source_in(y.edges[0], r):
-                raise PathError(f"source of {y.edges[0]} not in {r}")
-        elif not y.terminal.subset_of(r):
-            raise PathError(f"{y.terminal} is not a subset of {r}")
-        return
-    if points.length(y) == 0:
-        if not y.tail.vertices.subset_of(r):
-            raise PathError(f"{y.tail.vertices} is not a subset of {r}")
-    else:
-        first = points.coordinate(y, 1)
-        if not g.source_in(first, r):
-            raise PathError(f"source of {first} not in {r}")
+    if y.edges:
+        if not g.source_in(y.edges[0], r):
+            raise PathError(f"source of {y.edges[0]} not in {r}")
+    elif not y.terminal.subset_of(r):
+        raise PathError(f"{y.terminal} is not a subset of {r}")
 
 
 def minimal_emitters_in_range(g: Ultragraph, edges):

@@ -18,7 +18,7 @@ from typing import Callable
 
 from .graphs import EdgeRef, MinimalEmitter, Ultragraph
 from .intsets import INFINITE, IndexSet, SymbolicSet
-from .paths import Ultrapath, check_concat_compatible, edges_adjacent
+from .paths import PathError, Ultrapath, edges_adjacent
 from .verdicts import FAILS, HOLDS, UNKNOWN, Verdict
 
 
@@ -194,14 +194,18 @@ def validate_point(g: Ultragraph, x: Point) -> list[str]:
 # -- concatenation and prefixes ---------------------------------------------
 
 
-def concat(g: Ultragraph, x: Ultrapath, y):
-    """Concatenate an ultrapath with an ultrapath or a point."""
-    check_concat_compatible(g, x, y)
-    if isinstance(y, Ultrapath):
-        if not x.edges:
-            return y
-        return Ultrapath(x.edges, y.terminal) if not y.edges else \
-            Ultrapath(x.edges + y.edges, y.terminal)
+def concat(g: Ultragraph, x: Ultrapath, y: Point) -> Point:
+    """Concatenate an ultrapath with a point; ``paths.concat_paths`` joins
+    two ultrapaths.  y may follow x when s(y) lies in r(x) (as element for
+    positive length, as subset for length zero)."""
+    r = x.terminal
+    if length(y) == 0:
+        if not y.tail.vertices.subset_of(r):
+            raise PathError(f"{y.tail.vertices} is not a subset of {r}")
+    else:
+        first = coordinate(y, 1)
+        if not g.source_in(first, r):
+            raise PathError(f"source of {first} not in {r}")
     if not x.edges:
         return y
     if isinstance(y, FinitePoint):

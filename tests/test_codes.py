@@ -71,6 +71,14 @@ def full_space_map(g, h, sym):
                            label=f"constant {sym}")
 
 
+def test_class_bodies_take_schemas_only():
+    # a cylinder enters a class as decompose_cylinder(g, D).positive
+    D = Cylinder(Ultrapath((d(),), GA.range_of(d())))
+    with pytest.raises(MapError) as err:
+        SchemaClass([D], symbol=e(1))
+    assert "decompose_cylinder(g, D).positive" in str(err.value)
+
+
 # -- symbol_at and evaluation ---------------------------------------------------
 
 

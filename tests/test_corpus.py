@@ -12,10 +12,10 @@ from ultrashift.points import RepeatFamily
 
 @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
 def test_fixture_expectations_all_match(name):
-    report = run_fixture(name)
-    bad = [r for r in report.rows if not r.ok]
-    assert not bad, "; ".join(
-        f"{r.key}: expected {r.expected}, got {r.actual}" for r in bad)
+    verdicts = run_fixture(name)
+    assert verdicts
+    bad = [v for v in verdicts if v.status != "holds"]
+    assert not bad, "; ".join(f"{v.check}: {v.detail}" for v in bad)
 
 
 def test_unknown_fixture_name():

@@ -334,11 +334,36 @@ def test_cli_parallel_check(doc_file):
     assert main(["check", "genchl", doc_file, "--map", "Phi"]) == 0
 
 
+# example c's map that sends the zero-length point to an edge symbol
+PHI_INFINITE = """
+map PhiInfinite : G -> H {
+  class e[1] {
+    pc 1..1 : d
+    pc 1..1 : tail(auto)
+  }
+  class e[j] for j in >=2 { pc 1..1 : f[j-1] }
+}
+"""
+
+
+def _iii_tries(doc_file, capsys):
+    main(["check", "csc", doc_file, "--map", "PhiInfinite",
+          "--format", "json"])
+    records = json.loads(capsys.readouterr().out)["records"]
+    return [r["bounds"]["tries"] for r in records
+            if r["check"] == "csc-item-iii"]
+
+
 def test_env_bounds_override(doc_file, monkeypatch, capsys):
+    with open(doc_file, "a", encoding="utf-8") as fh:
+        fh.write(PHI_INFINITE)
+    assert _iii_tries(doc_file, capsys) == ["16"]
     monkeypatch.setenv("ULTRASHIFT_DEFAULT_BOUNDS", "samples=10,tries=6")
     assert main(["check", "commute", doc_file, "--map", "Phi"]) == 0
     out = capsys.readouterr().out
     assert "samples=10" in out
+    # csc item iii takes the environment's tries like the other items
+    assert _iii_tries(doc_file, capsys) == ["6"]
 
 
 @pytest.mark.parametrize("raw", ["tries=abc", "trys=6", "tries",

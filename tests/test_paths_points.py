@@ -1,5 +1,7 @@
 """Paths, points, shift map, cylinders, and convergence."""
 
+import ast
+import pathlib
 import random
 
 import pytest
@@ -44,7 +46,7 @@ from ultrashift.points import (
     shift_cylinder,
     validate_point,
 )
-from ultrashift import sampling
+from ultrashift import paths, sampling
 
 GA = graph_a_source()
 HA = graph_a_target()
@@ -98,6 +100,22 @@ def test_concat_incompatible_raises():
     y = Ultrapath((f(3),), HD.range_of(f(3)))  # source w[3] not in {w[-1]}
     with pytest.raises(PathError):
         concat_paths(HD, x, y)
+    for pt in (FinitePoint((f(3),), Q), FinitePoint((), P)):
+        with pytest.raises(PathError):
+            concat(HD, x, pt)
+
+
+def test_paths_module_imports_nothing_from_points():
+    # points are built on paths, so the dependency runs one way
+    tree = ast.parse(pathlib.Path(paths.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not {m for m in imported if m.split(".")[-1] == "points"}
 
 
 def test_concat_with_points():
