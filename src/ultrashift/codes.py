@@ -17,10 +17,12 @@ concrete, re-checkable witness.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 
-from .definable import PcSchema, LitAtom, RepAtom, VarAtom, match_schema
+from .definable import (PcSchema, LitAtom, VarAtom, expand_rep,
+                        match_atoms, match_schema)
 from .graphs import EdgeRef, MinimalEmitter, Ultragraph
 from .intsets import AffineIndexMap, IDENTITY_MAP, INFINITE, IndexSet, SymbolicSet
 from .paths import Block
@@ -202,11 +204,12 @@ def class_membership_oracle(phi, sym):
 def _try_point(g: Ultragraph, syms: tuple, bound: int = 8):
     """A valid point carrying the given symbols at position 1, or None."""
     w = block_witness(g, Block(tuple(syms)), bound)
-    if w is None:
-        return None
-    problems = [p for p in validate_point(g, w)
-                if not p.startswith("unknown:")]
-    return None if problems else w
+    return None if w is None or _problems(g, w) else w
+
+
+def _problems(g: Ultragraph, x: Point) -> list:
+    """What makes x no point of g, without the "unknown:" warnings."""
+    return [p for p in validate_point(g, x) if not p.startswith("unknown:")]
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -309,8 +312,7 @@ def eval_map(phi, x: Point, depth: int | None = None) -> EvalResult:
 
 
 def _check_output(h: Ultragraph, out: Point) -> None:
-    problems = [p for p in validate_point(h, out)
-                if not p.startswith("unknown:")]
+    problems = _problems(h, out)
     if problems:
         raise MapError(f"image {out} is not a point of the target shift: "
                        + "; ".join(problems))
@@ -383,7 +385,7 @@ def check_commuting(phi, samples, depth: int = 16) -> Verdict:
                    "all samples", bounds=bounds)
 
 
-def check_period_preservation(phi, x: Point, depth: int = 32) -> Verdict:
+def check_period_preservation(phi, x: Point) -> Verdict:
     """A point with shift period p maps to a point with period p."""
     if isinstance(x, GeneratorPoint):
         return Verdict("period-preservation", UNKNOWN,
@@ -396,11 +398,10 @@ def check_period_preservation(phi, x: Point, depth: int = 32) -> Verdict:
         p = 1
     else:
         raise MapError("finite points of positive length are not periodic")
-    y = eval_resolved(phi, x, depth)
+    y = eval_resolved(phi, x)
     ok = shift_n(y, p) == y
     return Verdict("period-preservation", HOLDS if ok else FAILS,
-                   f"input period {p}", (x, y),
-                   bounds={"depth": depth})
+                   f"input period {p}", (x, y))
 
 
 # -- first-extension analysis ------------------------------------------------------
@@ -436,21 +437,10 @@ def _schema_first_edges(
         return EdgeConstraint(g.all_edges(), False)
     result = SymbolicSet.empty()
     exact = True
-    split = next((i for i, a in enumerate(s.atoms)
-                  if isinstance(a, RepAtom)), None)
-    alignments = []
-    if split is None:
-        alignments.append(list(s.atoms))
-    else:
-        # expand the repetition as far as the window interacts with
-        # positions 1..n+1; longer repetitions repeat the same pivot
-        for m in range(1, n + 3 - s.anchor):
-            atoms = list(s.atoms[:split])
-            atoms += [LitAtom(s.atoms[split].symbol)] * m
-            atoms += list(s.atoms[split + 1:])
-            alignments.append(atoms)
-    for atoms in alignments:
-        got = _aligned_first_edges(g, s, atoms, prefix, dom)
+    # expand a repetition as far as the window interacts with positions
+    # 1..n+1; longer repetitions repeat the same pivot
+    for aligned in expand_rep(s, n + 2 - s.anchor):
+        got = _aligned_first_edges(g, aligned, prefix, dom)
         if got is None:
             continue
         edges, ex = got
@@ -461,65 +451,35 @@ def _schema_first_edges(
     return EdgeConstraint(result, exact)
 
 
-def _aligned_first_edges(g: Ultragraph, s: PcSchema, atoms: list,
-                         prefix: tuple, dom: IndexSet | None):
+def _aligned_first_edges(g: Ultragraph, s: PcSchema, prefix: tuple,
+                         dom: IndexSet | None):
+    """(edges, exact) at coordinate len(prefix) + 1 for a schema without
+    repetitions, or None when no point through the prefix matches it."""
     n = len(prefix)
-    start = s.anchor
-    end = start + len(atoms) - 1
-    if end < n + 1:
-        # schema satisfied inside the prefix: any extension edge works
-        ok, dom2 = _prefix_consistent(atoms, start, prefix, dom)
-        if not ok:
-            return None
-        return g.all_edges(), True
-    ok, dom2 = _prefix_consistent(atoms[:n + 1 - start], start, prefix, dom)
-    if not ok:
+    inside = s.atoms[:n + 1 - s.anchor]
+    got = match_atoms(dom, inside, FinitePoint(prefix), s.anchor)
+    if got is None:
         return None
-    pivot = atoms[n + 1 - start]
-    exact = end == n + 1
-    if isinstance(pivot, LitAtom):
-        if not isinstance(pivot.symbol, EdgeRef):
-            return None
-        e = pivot.symbol
-        return SymbolicSet.singleton(e.family, e.index), exact
-    if isinstance(pivot, VarAtom):
-        base = dom2 if dom2 is not None else IndexSet.all()
-        idxs = pivot.map.image(base).intersect(
-            g.edge_domain(pivot.family) if pivot.family in g.edge_families
-            else IndexSet.empty())
-        if idxs.is_empty():
-            return None
-        return SymbolicSet.of((pivot.family, idxs)), exact
-    raise MapError("repetitions are expanded before alignment")
+    if len(inside) == len(s.atoms):
+        # schema satisfied inside the prefix: any extension edge works
+        return g.all_edges(), True
+    if got.param is not None:
+        dom = IndexSet.of(got.param)
+    edges = _atom_edges(g, s.atoms[len(inside)], dom)
+    if edges.is_empty():
+        return None
+    return edges, s.anchor + len(s.atoms) == n + 2
 
 
-def _prefix_consistent(atoms, start: int, prefix: tuple,
-                       dom: IndexSet | None):
-    """Whether the pattern atoms lying inside the prefix agree with it;
-    narrows the parameter domain along the way."""
-    for i, atom in enumerate(atoms):
-        pos = start + i
-        if pos > len(prefix):
-            break
-        sym = prefix[pos - 1]
-        if isinstance(atom, LitAtom):
-            if atom.symbol != sym:
-                return False, dom
-        elif isinstance(atom, VarAtom):
-            if not isinstance(sym, EdgeRef) or sym.family != atom.family:
-                return False, dom
-            j = atom.map.solve(sym.index)
-            if j is None:
-                if atom.map.apply(0) != sym.index:
-                    return False, dom
-                continue
-            if dom is not None:
-                if not dom.contains(j):
-                    return False, dom
-                dom = IndexSet.of(j)
-        else:
-            return False, dom
-    return True, dom
+def _atom_edges(g: Ultragraph, atom, dom: IndexSet | None) -> SymbolicSet:
+    """The edges of g the atom admits at one coordinate, with the free
+    parameter in ``dom``; none for an emitter literal or a repetition."""
+    if isinstance(atom, LitAtom) and isinstance(atom.symbol, EdgeRef):
+        return SymbolicSet.singleton(*atom.symbol)
+    if isinstance(atom, VarAtom) and atom.family in g.edge_families:
+        return SymbolicSet.of((atom.family, atom.map.image(dom).intersect(
+            g.edge_domain(atom.family))))
+    return SymbolicSet.empty()
 
 
 def first_edges_into_class(phi, cls, prefix: tuple,
@@ -588,54 +548,71 @@ def escaping_edges(phi, prefix: tuple, tail: MinimalEmitter,
 
     Over-approximated symbolically through the classes when available;
     under-approximated by direct sampling for rule maps."""
-    g = phi.source
-    eps = g.epsilon(tail.vertices)
     if not phi.classes:
         found = SymbolicSet.empty()
-        for fam, idx in eps.sample(tries):
+        for fam, idx in phi.source.epsilon(tail.vertices).sample(tries):
             e = EdgeRef(fam, idx)
             got = _witness_through_edge(phi, prefix, e, good, tries=4)
             if got is not None:
                 found = found.union(SymbolicSet.singleton(fam, idx))
         return EdgeConstraint(found, False, "under")
+    return _edges_into_classes(
+        phi, prefix, tail, lambda cls: _bad_symbol_params(cls, good), tries)
+
+
+def _edges_into_classes(phi, prefix: tuple, tail: MinimalEmitter, params_of,
+                        tries: int) -> EdgeConstraint:
+    """Extension edges after (prefix, tail) that can lead into a class for
+    which ``params_of(cls)`` is not None; for a family class those are the
+    parameter values that count."""
     total = SymbolicSet.empty()
     exact = True
     kind = "over"
     for cls in phi.classes:
-        bad_params = _bad_symbol_params(cls, good)
-        if bad_params is None:
+        params = params_of(cls)
+        if params is None:
             continue
-        restrict = None if cls.symbol is not None else bad_params
+        restrict = None if cls.symbol is not None else params
         got = first_edges_into_class(phi, cls, prefix, restrict, tries=tries)
         total = total.union(got.edges)
         exact = exact and got.exact
         if got.kind == "under":
-            # a sampled class may hide escapes, so the union is no longer
+            # a sampled class may hide edges, so the union is no longer
             # a certified cover
             exact = False
             kind = "mixed"
-    return EdgeConstraint(total.intersect(eps), exact, kind)
+    return EdgeConstraint(total.intersect(phi.source.epsilon(tail.vertices)),
+                          exact, kind)
+
+
+def _first_symbols(phi, prefix: tuple, edges: SymbolicSet, count: int):
+    """(e, point, first image symbol) for up to ``count`` sampled edges e,
+    the point being a valid point through ``prefix + e``; edges without
+    such a point, or whose point the map cannot place, are skipped."""
+    for fam, idx in edges.sample(count):
+        e = EdgeRef(fam, idx)
+        w = _try_point(phi.source, tuple(prefix) + (e,))
+        if w is None:
+            continue
+        try:
+            sym = phi.symbol_at(w)
+        except MapError:
+            continue
+        yield e, w, sym
 
 
 def _witness_through_edge(phi, prefix: tuple, e: EdgeRef, good: SymbolSet,
                           tries: int = 12):
     """A concrete point through ``prefix + e`` whose first image symbol is
-    bad, verified by direct evaluation."""
-    g = phi.source
-    w = _try_point(g, tuple(prefix) + (e,), 8)
-    cands = [w] if w is not None else []
-    succ = g.successor_edges(e)
-    for fam, idx in succ.sample(tries):
-        w2 = _try_point(g, tuple(prefix) + (e, EdgeRef(fam, idx)), 8)
-        if w2 is not None:
-            cands.append(w2)
-    for cand in cands:
-        try:
-            sym = phi.symbol_at(cand)
-        except MapError:
-            continue
+    bad, verified by direct evaluation: the point through ``prefix + e``
+    first, then points through it and a sampled successor edge."""
+    through = tuple(prefix) + (e,)
+    for _, w, sym in itertools.chain(
+            _first_symbols(phi, prefix, SymbolicSet.singleton(*e), 1),
+            _first_symbols(phi, through, phi.source.successor_edges(e),
+                           tries)):
         if not good.contains(sym):
-            return cand, sym
+            return w, sym
     return None
 
 
@@ -693,25 +670,11 @@ def _certify_schema_open(g: Ultragraph, cls, s: PcSchema):
     if not run_ok:
         return False, "emitter symbols must form one trailing run"
     B = kinds[first].symbol
-    prefix = kinds[:first]
+    prefix = tuple(kinds[:first])
     if any(not isinstance(a, (LitAtom, VarAtom)) for a in prefix):
         return False, "repetitions before an emitter are not certifiable"
-    eps = g.epsilon(B.vertices)
-    covered = SymbolicSet.empty()
-    for sib in cls.body:
-        if sib.anchor != 1:
-            continue
-        if len(sib.atoms) != len(prefix) + 1 or \
-                tuple(sib.atoms[:len(prefix)]) != tuple(prefix):
-            continue
-        last = sib.atoms[-1]
-        if isinstance(last, LitAtom) and isinstance(last.symbol, EdgeRef):
-            covered = covered.union(SymbolicSet.singleton(
-                last.symbol.family, last.symbol.index))
-        elif isinstance(last, VarAtom) and sib.param_domain is not None:
-            covered = covered.union(SymbolicSet.of(
-                (last.family, last.map.image(sib.param_domain))))
-    missing = eps.difference(covered)
+    covered = _sure_next_edges(g, cls, prefix, IndexSet.all())
+    missing = g.epsilon(B.vertices).difference(covered)
     if missing.is_finite():
         return True, ("emitter-ended pattern with sibling coverage; "
                       f"excluded set {missing}")
@@ -719,20 +682,19 @@ def _certify_schema_open(g: Ultragraph, cls, s: PcSchema):
                    f"edges uncovered ({missing})")
 
 
-def check_genchl_iia(phi, x_bar: FinitePoint, tries: int = 24,
-                     depth: int = 48) -> Verdict:
+def check_genchl_iia(phi, x_bar: FinitePoint, tries: int = 24) -> Verdict:
     """At a finite point with length-zero image, all but finitely many
     extension edges must keep the image inside the basic neighborhood of
     the image tail.  Returns the minimal certified excluded set."""
     h = phi.target
-    img = eval_resolved(phi, x_bar, depth)
+    img = eval_resolved(phi, x_bar)
     if length(img) != 0:
         return Verdict("genchl-iia", NOT_APPLICABLE,
                        f"image has length {length(img)}")
     B = img.tail
     good = SymbolSet(h.epsilon(B.vertices), (B,))
     return _escape_verdict("genchl-iia", phi, x_bar.path, x_bar.tail, good,
-                           {"tries": tries, "depth": depth})
+                           {"tries": tries})
 
 
 def _escape_verdict(check: str, phi, prefix: tuple, tail: MinimalEmitter,
@@ -783,12 +745,12 @@ def _verify_infinite_escape(phi, prefix, bad_edges: SymbolicSet,
 
 
 def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet,
-                      tries: int = 24, depth: int = 48) -> Verdict:
+                      tries: int = 24) -> Verdict:
     """At a finite point with finite image (beta, B), for the target
     neighborhood excluding F there must be a finite source excluded set
     F' with the image of the shifted cylinder inside it."""
     h = phi.target
-    img = eval_resolved(phi, x_bar, depth)
+    img = eval_resolved(phi, x_bar)
     if length(img) == INFINITE:
         return Verdict("csc-item-ii", NOT_APPLICABLE, "image is infinite")
     l = int(length(img))
@@ -796,53 +758,33 @@ def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet,
     shifted = shift_n(x_bar, l)
     good = SymbolSet(h.epsilon(B.vertices).difference(F), (B,))
     return _escape_verdict("csc-item-ii", phi, shifted.path, x_bar.tail, good,
-                           {"tries": tries, "depth": depth, "F": str(F)})
+                           {"tries": tries, "F": str(F)})
 
 
-def compute_A_x(phi, x_bar: FinitePoint, x: Point, tries: int = 24,
-                depth: int = 48):
+def compute_A_x(phi, x_bar: FinitePoint, x: Point, tries: int = 24):
     """Extension edges after x_bar's path that can produce the same first
     image symbol as x.  Returns (symbolic edge set, finite flag, exact
     flag)."""
-    g = phi.source
-    n = len(x_bar.path)
-    for i in range(n):
-        if coordinate(x, i + 1) != x_bar.path[i]:
+    for i, edge in enumerate(x_bar.path):
+        if coordinate(x, i + 1) != edge:
             raise MapError("x must extend the path of x_bar")
-    c = eval_map(phi, x, depth).prefix[0]
+    c = eval_map(phi, x).prefix[0]
     if isinstance(c, MinimalEmitter):
         raise MapError("the first image symbol must be an edge")
-    eps = g.epsilon(x_bar.tail.vertices)
-    total = SymbolicSet.empty()
-    exact = bool(phi.classes)
-    for cls in phi.classes:
-        params = cls.covers_symbol(c)
-        if params is None:
-            continue
-        restrict = None if cls.symbol is not None else params
-        got = first_edges_into_class(phi, cls, x_bar.path, restrict,
-                                     tries=tries)
-        total = total.union(got.edges)
-        exact = exact and got.exact
-    if not phi.classes:
+    if phi.classes:
+        got = _edges_into_classes(phi, x_bar.path, x_bar.tail,
+                                  lambda cls: cls.covers_symbol(c), tries)
+        result, exact = got.edges, got.exact
+    else:
         # rule maps: sampled under-approximation
-        for fam, idx in eps.sample(tries):
-            e = EdgeRef(fam, idx)
-            w = _try_point(g, tuple(x_bar.path) + (e,), 8)
-            if w is None:
-                continue
-            try:
-                if phi.symbol_at(w) == c:
-                    total = total.union(SymbolicSet.singleton(fam, idx))
-            except MapError:
-                pass
-        exact = False
-    result = total.intersect(eps)
+        eps = phi.source.epsilon(x_bar.tail.vertices)
+        same = [(e.family, IndexSet.of(e.index)) for e, _, sym in
+                _first_symbols(phi, x_bar.path, eps, tries) if sym == c]
+        result, exact = SymbolicSet.of(*same), False
     return result, result.is_finite(), exact
 
 
-def check_genchl_iib(phi, x_bar: FinitePoint, samples_through: int = 6,
-                     tries: int = 24) -> Verdict:
+def check_genchl_iib(phi, x_bar: FinitePoint, tries: int = 24) -> Verdict:
     """The extension-edge sets A_x must be finite for every extension whose
     first image symbol is an edge emitted by the image tail."""
     g, h = phi.source, phi.target
@@ -852,15 +794,8 @@ def check_genchl_iib(phi, x_bar: FinitePoint, samples_through: int = 6,
     B = img.tail
     eps_B = h.epsilon(B.vertices)
     checked = 0
-    for fam, idx in g.epsilon(x_bar.tail.vertices).sample(samples_through):
-        e = EdgeRef(fam, idx)
-        w = _try_point(g, tuple(x_bar.path) + (e,), 8)
-        if w is None:
-            continue
-        try:
-            c = phi.symbol_at(w)
-        except MapError:
-            continue
+    for e, w, c in _first_symbols(phi, x_bar.path,
+                                  g.epsilon(x_bar.tail.vertices), 6):
         if isinstance(c, MinimalEmitter) or not eps_B.contains(c.family, c.index):
             continue
         a_x, finite, _exact = compute_A_x(phi, x_bar, w, tries)
@@ -888,7 +823,18 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
         return Verdict("csc-item-iii", NOT_APPLICABLE,
                        "the image of the zero-length point has length zero",
                        bounds=bounds)
-    cov, cov_exact = _sure_first_symbol_coverage(phi, d_sym)
+    # the first edges that put every point in a class of d_sym for sure;
+    # an oracle class certifies none
+    cov = SymbolicSet.empty()
+    cov_exact = True
+    for cls in phi.classes:
+        params = cls.covers_symbol(d_sym)
+        if params is None:
+            continue
+        if isinstance(cls, OracleClass):
+            cov_exact = False
+            continue
+        cov = cov.union(_sure_next_edges(g, cls, (), params))
     emitters, _ = g.minimal_infinite_emitters()
     zero_ok = {}
     for m in emitters:
@@ -944,32 +890,22 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
                    f"{M} shifts; {note}", F, bounds, exact=cov_exact)
 
 
-def _sure_first_symbol_coverage(phi, d_sym):
-    """Source edges e such that every point starting with e is certified to
-    carry first image symbol d_sym."""
-    cov = SymbolicSet.empty()
-    exact = True
-    for cls in phi.classes:
-        params = cls.covers_symbol(d_sym)
-        if params is None:
+def _sure_next_edges(g: Ultragraph, cls: SchemaClass, head: tuple,
+                     params: IndexSet) -> SymbolicSet:
+    """Edges e such that every point starting with ``head + e`` lies in the
+    class for sure, through a body schema anchored at the first coordinate
+    whose atoms are ``head`` and one more; the parameter is narrowed to
+    ``params``."""
+    out = SymbolicSet.empty()
+    for s in cls.body:
+        if s.anchor != 1 or len(s.atoms) != len(head) + 1 or \
+                tuple(s.atoms[:-1]) != head:
             continue
-        if isinstance(cls, OracleClass):
-            exact = False
-            continue
-        for item in cls.body:
-            if item.anchor != 1 or len(item.atoms) != 1:
-                continue
-            a = item.atoms[0]
-            if isinstance(a, LitAtom) and isinstance(a.symbol, EdgeRef):
-                cov = cov.union(SymbolicSet.singleton(
-                    a.symbol.family, a.symbol.index))
-            elif isinstance(a, VarAtom):
-                dom = item.param_domain
-                if cls.symbol is None:
-                    dom = dom.intersect(params)
-                cov = cov.union(SymbolicSet.of(
-                    (a.family, a.map.image(dom))))
-    return cov, exact
+        dom = s.param_domain
+        if dom is not None:
+            dom = dom.intersect(params)
+        out = out.union(_atom_edges(g, s.atoms[-1], dom))
+    return out
 
 
 def _iii_escape_witness(phi, A: MinimalEmitter, gap: SymbolicSet, d_sym,

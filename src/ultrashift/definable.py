@@ -144,19 +144,19 @@ def match_schema(s: PcSchema, x: Point, max_rep: int = 64) -> SchemaMatch | None
     split = next((i for i, a in enumerate(s.atoms)
                   if isinstance(a, RepAtom)), None)
     if split is None:
-        return _match_fixed(s, s.atoms, x, s.anchor)
+        return match_atoms(s.param_domain, s.atoms, x, s.anchor)
     prefix, rep, suffix = s.atoms[:split], s.atoms[split], s.atoms[split + 1:]
     pos = s.anchor + len(prefix)
-    got = _match_fixed(s, prefix, x, s.anchor) if prefix else SchemaMatch(
-        None, None, (s.anchor, s.anchor - 1))
+    got = match_atoms(s.param_domain, prefix, x, s.anchor) if prefix else \
+        SchemaMatch(None, None, (s.anchor, s.anchor - 1))
     if prefix and got is None:
         return None
     run = 0
     while run < max_rep and coordinate(x, pos + run) == rep.symbol:
         run += 1
     for m in range(1, run + 1):
-        tail = _match_fixed(s, suffix, x, pos + m,
-                            preset=got.param if prefix else None)
+        tail = match_atoms(s.param_domain, suffix, x, pos + m,
+                           preset=got.param if prefix else None)
         if suffix and tail is None:
             continue
         param = tail.param if suffix and tail.param is not None else \
@@ -165,8 +165,10 @@ def match_schema(s: PcSchema, x: Point, max_rep: int = 64) -> SchemaMatch | None
     return None
 
 
-def _match_fixed(s: PcSchema, atoms, x: Point, start: int,
-                 preset: int | None = None) -> SchemaMatch | None:
+def match_atoms(dom: IndexSet | None, atoms, x: Point, start: int,
+                preset: int | None = None) -> SchemaMatch | None:
+    """Match repetition-free atoms against x from coordinate ``start``,
+    with the free parameter ranging over ``dom``."""
     param = preset
     for i, atom in enumerate(atoms):
         sym = coordinate(x, start + i)
@@ -184,7 +186,7 @@ def _match_fixed(s: PcSchema, atoms, x: Point, start: int,
             if j is not None:
                 if param is not None and param != j:
                     return None
-                if not s.param_domain.contains(j):
+                if not dom.contains(j):
                     return None
                 param = j
         else:
@@ -362,7 +364,7 @@ def fd_intersect(g: Ultragraph, a: FdPresentation, b: FdPresentation,
     return FdPresentation(tuple(pos), a.negative + b.negative)
 
 
-def _expand_rep(s: PcSchema, rep_bound: int):
+def expand_rep(s: PcSchema, rep_bound: int):
     if not s.has_rep():
         return [s]
     out = []
@@ -397,8 +399,8 @@ def schema_intersect(g: Ultragraph, s1: PcSchema, s2: PcSchema,
     unification; repetition atoms and unaligned second parameters are
     expanded up to the given bounds (the result notes say so)."""
     out = []
-    for f1 in _expand_rep(s1, rep_bound):
-        for f2 in _expand_rep(s2, rep_bound):
+    for f1 in expand_rep(s1, rep_bound):
+        for f2 in expand_rep(s2, rep_bound):
             out.extend(_merge_fixed(g, f1, f2, index_bound))
     seen, uniq = set(), []
     for s in out:

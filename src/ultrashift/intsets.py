@@ -48,10 +48,14 @@ class IndexSet:
 
     ``spans`` is a sorted tuple of ``(lo, hi)`` pairs with ``None`` meaning
     unbounded; spans are pairwise disjoint and non-adjacent, so structural
-    equality is set equality.
+    equality is set equality.  Any span list given is put in that form:
+    spans are sorted and merged, and empty ones dropped.
     """
 
     spans: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "spans", _merge_spans(self.spans))
 
     # -- constructors ------------------------------------------------------
 
@@ -65,11 +69,11 @@ class IndexSet:
 
     @staticmethod
     def of(*points: int) -> "IndexSet":
-        return IndexSet(_merge_spans((p, p) for p in points))
+        return IndexSet((p, p) for p in points)
 
     @staticmethod
     def between(lo: int, hi: int) -> "IndexSet":
-        return IndexSet(_merge_spans([(lo, hi)]))
+        return IndexSet(((lo, hi),))
 
     @staticmethod
     def at_least(a: int) -> "IndexSet":
@@ -152,7 +156,7 @@ class IndexSet:
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(_merge_spans(self.spans + other.spans))
+        return IndexSet(self.spans + other.spans)
 
     def intersect(self, other: "IndexSet") -> "IndexSet":
         out = []
@@ -162,7 +166,7 @@ class IndexSet:
                 hi = ahi if bhi is None else bhi if ahi is None else min(ahi, bhi)
                 if lo is None or hi is None or lo <= hi:
                     out.append((lo, hi))
-        return IndexSet(_merge_spans(out))
+        return IndexSet(out)
 
     def complement(self) -> "IndexSet":
         """Complement within the full integer line."""
@@ -174,11 +178,11 @@ class IndexSet:
                 left = None if not started and cursor is None else cursor
                 out.append((left, lo - 1))
             if hi is None:
-                return IndexSet(_merge_spans(out))
+                return IndexSet(out)
             cursor = hi + 1
             started = True
         out.append((cursor, None))
-        return IndexSet(_merge_spans(out))
+        return IndexSet(out)
 
     def difference(self, other: "IndexSet") -> "IndexSet":
         return self.intersect(other.complement())
@@ -193,9 +197,9 @@ class IndexSet:
 
     def reflect(self, b: int) -> "IndexSet":
         """The set {b - k : k in self}."""
-        return IndexSet(_merge_spans(
+        return IndexSet(
             (None if hi is None else b - hi, None if lo is None else b - lo)
-            for lo, hi in self.spans))
+            for lo, hi in self.spans)
 
     def __or__(self, other: "IndexSet") -> "IndexSet":
         return self.union(other)

@@ -89,3 +89,32 @@ def test_every_private_helper_parameter_is_read_and_set():
                      if not any(_passes(c, positional, p)
                                 for c in calls.get(node.name, []))]
     assert dead == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a helper two modules share is public in the module that defines it
+    siblings = {p.stem for p in PACKAGE.glob("*.py")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # sibling modules bound by `from . import m`
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or \
+                (node.module or "").split(".")[0] == PACKAGE.name
+            if not internal:
+                continue
+            for a in node.names:
+                if node.module is None and a.name in siblings:
+                    modules.add(a.asname or a.name)
+                elif a.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno} {a.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in modules and \
+                    node.attr.startswith("_"):
+                found.append(f"{path.name}:{node.lineno} "
+                             f"{node.value.id}.{node.attr}")
+    assert found == []

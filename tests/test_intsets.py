@@ -115,6 +115,39 @@ def test_canonicalization_merges_adjacent_pieces():
     assert IndexSet.at_most(-1).union(IndexSet.at_least(1)) == IndexSet.nonzero()
 
 
+bounds_or_none = st.one_of(st.none(), offsets)
+
+
+@given(st.lists(st.tuples(bounds_or_none, bounds_or_none), max_size=6))
+def test_raw_span_lists_are_canonicalized(spans):
+    # any span list, unsorted, overlapping, adjacent or empty, names the
+    # set its spans cover, and equal sets compare and hash equal
+    s = IndexSet(tuple(spans))
+    want = {k for k in REFERENCE_RANGE
+            if any((lo is None or lo <= k) and (hi is None or k <= hi)
+                   for lo, hi in spans)}
+    assert brute(s) == want
+    rebuilt = IndexSet.empty()
+    for lo, hi in spans:
+        piece = IndexSet.all()
+        if lo is not None:
+            piece = piece.intersect(IndexSet.at_least(lo))
+        if hi is not None:
+            piece = piece.intersect(IndexSet.at_most(hi))
+        rebuilt = rebuilt.union(piece)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+    assert IndexSet(s.spans).spans == s.spans
+    assert s.cardinality() >= 0
+    assert s.is_empty() == (s.cardinality() == 0)
+
+
+def test_raw_spans_examples():
+    assert IndexSet(((0, 1), (2, 3))) == IndexSet.between(0, 3)
+    assert hash(IndexSet(((0, 1), (2, 3)))) == hash(IndexSet.between(0, 3))
+    assert IndexSet(((5, 2),)).is_empty()
+    assert IndexSet(((5, 2),)).cardinality() == 0
+
+
 def test_ray_point_intersection():
     got = IndexSet.at_least(1).intersect(IndexSet.of(0, 3))
     assert got == IndexSet.of(3)
