@@ -151,7 +151,13 @@ class OracleClass:
 
 
 class MapPresentation:
-    """A shift commuting map defined coordinatewise by a partition."""
+    """A shift commuting map defined coordinatewise by a partition.
+
+    ``window`` is the last coordinate any body schema reads, so the first
+    image symbol of a point depends on its first ``window`` coordinates
+    only; it is None when a class is an oracle or a schema repeats an
+    atom.  ``symbol_at`` tries only the classes whose schemas admit the
+    point's first coordinate."""
 
     def __init__(self, source: Ultragraph, target: Ultragraph, classes,
                  label: str = "map"):
@@ -159,18 +165,82 @@ class MapPresentation:
         self.target = target
         self.classes = tuple(classes)
         self.label = label
+        self.window = _schema_window(self.classes)
+        self._by_first, self._always = _first_symbol_index(self.classes)
 
     def symbol_at(self, x: Point):
         found = []
-        for c in self.classes:
+        for c in self._candidates(x):
             for sym in c.symbols_for(x):
                 found.append((c, sym))
         if len(found) != 1:
             raise PartitionError(x, [str(c) for c, _ in found])
         return found[0][1]
 
+    def _candidates(self, x: Point) -> tuple:
+        """The classes that can match x, in class order: a superset of the
+        matching ones, so a PartitionError lists the same classes."""
+        try:
+            first = coordinate(x, 1)
+        except PointError:
+            return self.classes  # a generator point too shallow to read
+        key = first.family if isinstance(first, EdgeRef) else MinimalEmitter
+        return self._by_first.get(key, self._always)
+
     def __str__(self) -> str:
         return self.label
+
+
+def _schema_window(classes) -> int | None:
+    """The last coordinate a body schema reads, or None when a class is not
+    a schema class or a schema has a repetition (its reach is unbounded)."""
+    last = 0
+    for cls in classes:
+        if not isinstance(cls, SchemaClass):
+            return None
+        for s in cls.body:
+            if s.has_rep():
+                return None
+            if s.atoms:
+                last = max(last, s.anchor + len(s.atoms) - 1)
+    return last
+
+
+def _first_symbol_keys(cls) -> set | None:
+    """What the class admits at coordinate 1: the edge family names its
+    schemas anchored there start with (a repetition runs at least once),
+    and ``MinimalEmitter`` for an emitter literal.  None when any first
+    symbol might do: an oracle class, or a schema anchored past 1."""
+    if not isinstance(cls, SchemaClass):
+        return None
+    keys = set()
+    for s in cls.body:
+        if not s.atoms:
+            continue  # the empty pseudo cylinder matches no point
+        if s.anchor != 1:
+            return None
+        atom = s.atoms[0]
+        if isinstance(atom, VarAtom):
+            keys.add(atom.family)
+        elif isinstance(atom.symbol, EdgeRef):  # a literal or a repetition
+            keys.add(atom.symbol.family)
+        elif isinstance(atom.symbol, MinimalEmitter):
+            keys.add(MinimalEmitter)
+        else:
+            return None
+    return keys
+
+
+def _first_symbol_index(classes):
+    """(candidates by first-symbol key, candidates for any other first
+    symbol), each a tuple of classes in class order."""
+    keys = [_first_symbol_keys(c) for c in classes]
+
+    def candidates(key):
+        return tuple(c for c, ks in zip(classes, keys)
+                     if ks is None or key in ks)
+    known = set().union(*(ks for ks in keys if ks is not None))
+    return {k: candidates(k) for k in known}, candidates(None)
 
 
 class RuleMap:
@@ -182,6 +252,7 @@ class RuleMap:
         self.target = target
         self.rule = rule
         self.classes = ()
+        self.window = None
         self.label = label
 
     def symbol_at(self, x: Point):
@@ -651,7 +722,8 @@ def check_csc_item_i(phi) -> Verdict:
 
 
 def _certify_schema_open(g: Ultragraph, cls, s: PcSchema):
-    if not s.atoms:
+    if not s.atoms or (s.param_domain is not None and
+                       s.param_domain.is_empty()):
         return True, "empty"
     if s.anchor != 1:
         return False, ("anchored past the first coordinate, not certifiable "
@@ -673,7 +745,13 @@ def _certify_schema_open(g: Ultragraph, cls, s: PcSchema):
     prefix = tuple(kinds[:first])
     if any(not isinstance(a, (LitAtom, VarAtom)) for a in prefix):
         return False, "repetitions before an emitter are not certifiable"
-    covered = _sure_next_edges(g, cls, prefix, IndexSet.all())
+    params = IndexSet.all()
+    if any(isinstance(a, VarAtom) and a.map.scale != 0 for a in prefix):
+        # the head reads the parameter, so at a value j only the siblings'
+        # instances at j follow it, each with one edge; whether the rest of
+        # eps(B) is finite is then the same at every value, so read one
+        params = IndexSet.of(s.param_domain.sample(1)[0])
+    covered = _sure_next_edges(g, cls, prefix, params)
     missing = g.epsilon(B.vertices).difference(covered)
     if missing.is_finite():
         return True, ("emitter-ended pattern with sibling coverage; "
@@ -904,6 +982,8 @@ def _sure_next_edges(g: Ultragraph, cls: SchemaClass, head: tuple,
         dom = s.param_domain
         if dom is not None:
             dom = dom.intersect(params)
+            if dom.is_empty():
+                continue  # no instance of the schema at these values
         out = out.union(_atom_edges(g, s.atoms[-1], dom))
     return out
 
@@ -1081,12 +1161,16 @@ class _ProbeMemo:
     memoized at finite and periodic points, for one probe.  The orbits of
     one probe's approach terms overlap (the shifts of block^n + tail include
     block^(n-1) + tail), so their evaluations share most symbols, and
-    ``eval_map`` splices a stored image onto the symbols before it.
-    Generator points are not memoized, and neither are failed images."""
+    ``eval_map`` splices a stored image onto the symbols before it.  When
+    the map has a window, symbols are keyed by the point's coordinates in
+    it, which all points that agree there share; images stay keyed by the
+    whole point.  Generator points are not memoized, and neither are
+    failed images."""
 
     def __init__(self, phi):
         self.phi = phi
         self.target = phi.target
+        self.window = getattr(phi, "window", None)
         self.symbols: dict = {}
         self.images: dict = {}
 
@@ -1100,7 +1184,11 @@ class _ProbeMemo:
     def symbol_at(self, x: Point):
         if isinstance(x, GeneratorPoint):
             return self.phi.symbol_at(x)
-        key = self.key(x)
+        if self.window is None:
+            key = self.key(x)
+        else:
+            # the symbol depends on the window's coordinates only
+            key = tuple(coordinate(x, i) for i in range(1, self.window + 1))
         sym = self.symbols.get(key)
         if sym is None:
             sym = self.symbols[key] = self.phi.symbol_at(x)
@@ -1124,10 +1212,8 @@ def _swerve_strategies(g, x, bounds: ProbeBounds):
     out = []
     if isinstance(x, PeriodicPoint) and not x.preamble:
         cyc = x.cycle
-        nxt = g.successor_edges(cyc[-1])
         taken = 0
-        for fam, idx in nxt.sample(6):
-            e2 = EdgeRef(fam, idx)
+        for e2 in g.successor_sample(cyc[-1], 6):
             if e2 == cyc[0]:
                 continue
             w = _try_point(g, cyc + (e2,), bounds.index_bound)
@@ -1146,8 +1232,7 @@ def _swerve_strategies(g, x, bounds: ProbeBounds):
     def seq(n):
         edges = tuple(coordinate(x, i) for i in range(1, n + 1))
         last = edges[-1]
-        for fam, idx in g.successor_edges(last).sample(6):
-            e2 = EdgeRef(fam, idx)
+        for e2 in g.successor_sample(last, 6):
             if e2 == coordinate(x, n + 1):
                 continue
             w = _try_point(g, edges + (e2,), bounds.index_bound)

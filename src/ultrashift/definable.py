@@ -620,11 +620,9 @@ def _window_variants(g: Ultragraph, x: Point, k: int, l: int,
     l, then prefix changes before k."""
     window_syms = [coordinate(x, i) for i in range(1, l + 1)]
     if all(isinstance(s, EdgeRef) for s in window_syms):
-        succ = g.successor_edges(window_syms[-1])
         nxt_true = coordinate(x, l + 1) if length(x) > l else None
         count = 0
-        for fam, idx in succ.sample(tries):
-            e2 = EdgeRef(fam, idx)
+        for e2 in g.successor_sample(window_syms[-1], tries):
             if e2 == nxt_true:
                 continue
             w = block_witness(g, Block(tuple(window_syms) + (e2,)),

@@ -144,8 +144,9 @@ class Ultragraph:
     Vertex and edge family names share one namespace; index domains are
     arbitrary IndexSets.  Derived data (canonical shapes, closure, minimal
     emitters) is computed lazily and cached, and so are the per-edge
-    answers (source, range, successor edges, bounded successors, emitters
-    inside a range), so a graph must not be changed after construction.
+    answers (source, range, successor edges and their samples, bounded
+    successors, emitters inside a range, adjacency of two edges), so a
+    graph must not be changed after construction.
     """
 
     def __init__(self, name: str, vertex_families: dict, edge_families):
@@ -172,6 +173,9 @@ class Ultragraph:
         self._successors: dict = {}
         self._range_emitters: dict = {}
         self._bounded_successors: dict = {}
+        # keyed by (prev, nxt) and (e, k)
+        self._adjacent: dict = {}
+        self._successor_samples: dict = {}
 
     # -- elementary queries --------------------------------------------
 
@@ -221,6 +225,15 @@ class Ultragraph:
         vf, k = self.source(e)
         return vertices.contains(vf, k)
 
+    def adjacent(self, prev: EdgeRef, nxt: EdgeRef) -> bool:
+        """Whether ``nxt`` may follow ``prev`` on a path."""
+        key = (prev, nxt)
+        got = self._adjacent.get(key)
+        if got is None:
+            got = _remember(self._adjacent, key,
+                            self.source_in(nxt, self.range_of(prev)))
+        return got
+
     # -- emitted edges ----------------------------------------------------
 
     def epsilon(self, vertices: SymbolicSet) -> SymbolicSet:
@@ -253,6 +266,16 @@ class Ultragraph:
         if got is None:
             got = _remember(self._successors, e,
                             self.epsilon(self.range_of(e)))
+        return got
+
+    def successor_sample(self, e: EdgeRef, k: int) -> tuple:
+        """``successor_edges(e).sample(k)`` as a tuple of EdgeRefs."""
+        key = (e, k)
+        got = self._successor_samples.get(key)
+        if got is None:
+            got = _remember(self._successor_samples, key, tuple(
+                EdgeRef(fam, idx)
+                for fam, idx in self.successor_edges(e).sample(k)))
         return got
 
     def bounded_successors(self, e: EdgeRef, bound: int,

@@ -40,7 +40,7 @@ class Ultrapath:
 
 
 def edges_adjacent(g: Ultragraph, prev: EdgeRef, nxt: EdgeRef) -> bool:
-    return g.source_in(nxt, g.range_of(prev))
+    return g.adjacent(prev, nxt)
 
 
 def validate_ultrapath(g: Ultragraph, up: Ultrapath) -> list[str]:

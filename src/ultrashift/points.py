@@ -488,8 +488,7 @@ def block_witness(g: Ultragraph, block, index_bound: int = 8,
             return PeriodicPoint(tuple(path[:i]), tuple(path[i:-1]))
         seen[last] = len(path) - 1
         tails, _ = g.range_emitters(last)
-        nxt = g.successor_edges(last)
-        cands = [EdgeRef(f, k) for f, k in nxt.sample(index_bound)]
+        cands = g.successor_sample(last, index_bound)
         if not cands:
             if tails:
                 return FinitePoint(tuple(path), tails[0])

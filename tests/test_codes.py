@@ -310,6 +310,27 @@ def test_item_i_certifies_sibling_covered_emitter_schema():
     assert check_csc_item_i(phi_inv).status == "holds"
 
 
+def test_item_i_reads_sibling_coverage_per_parameter_value():
+    # at (f[j] A ...) only the siblings' instances at the same j follow the
+    # head, f[j] f[j] and f[j] d: every cylinder [f[3]] minus a finite set
+    # holds points f[3] f[5] ... outside the class
+    ge1 = IndexSet.at_least(1)
+    phi = MapPresentation(GA, HA, [SchemaClass([
+        PcSchema(1, (VarAtom("f"), LitAtom(A_W)), ge1),
+        PcSchema(1, (VarAtom("f"), VarAtom("f")), ge1),
+        PcSchema(1, (VarAtom("f"), LitAtom(d())), ge1)], symbol=e(1))])
+    verdict = check_csc_item_i(phi)
+    assert verdict.status == "fails"
+    assert "uncovered" in verdict.detail
+    # without the parameter in the head, a sibling's free index does
+    # range over every value: d f[j] and d d cover all of eps(A)
+    phi = MapPresentation(GA, HA, [SchemaClass([
+        PcSchema(1, (LitAtom(d()), LitAtom(A_W))),
+        PcSchema(1, (LitAtom(d()), VarAtom("f")), ge1),
+        PcSchema(1, (LitAtom(d()), LitAtom(d())))], symbol=e(1))])
+    assert check_csc_item_i(phi).status == "holds"
+
+
 def test_item_i_rejects_bare_emitter_schema_in_edge_class():
     phi = MapPresentation(HD, GD, [
         SchemaClass([PcSchema(1, (LitAtom(P),))], symbol=e(0)),

@@ -1,9 +1,11 @@
 """Text format and command-line driver."""
 
 import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrashift import corpus, dsl
 from ultrashift.cli import main
@@ -115,6 +117,37 @@ def test_errors_carry_position_and_hint():
         dsl.parse("ultragraph G { vertices v over Q }")
     assert err.value.line == 1 and err.value.col > 1
     assert err.value.hint
+
+
+DOCS = sorted((pathlib.Path(__file__).resolve().parents[1] / "bench" /
+               "docs").glob("*.ug"))
+# pieces of the syntax, so that edits reach past the lexer
+EDIT_PIECES = ["{", "}", "(", ")", "[", "]", ",", ":", ";", "..", "*", "|",
+               "==", ">=", "<=", "-", "+", "0", "-1", "9" * 25, "k", "j",
+               "k+1", "2*k", "N", "Z*", "all(", "when", "over", "source",
+               "range", "edges", "vertices", "ultragraph", "map", "class",
+               "pc", "rep(", "oracle", "point", "fin:", "inf:", "auto",
+               "tail(", "for", "in", "of", "->", "\n", "#"]
+edits = st.lists(st.tuples(
+    st.sampled_from(["delete", "insert", "replace"]),
+    st.integers(0, 1 << 16), st.integers(1, 12),
+    st.one_of(st.sampled_from(EDIT_PIECES), st.text(max_size=3))),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DOCS), edits)
+def test_parse_raises_only_parse_errors(doc, changes):
+    assert DOCS
+    text = doc.read_text(encoding="utf-8")
+    for op, at, span, piece in changes:
+        i = at % (len(text) + 1)
+        j = min(len(text), i + span) if op != "insert" else i
+        text = text[:i] + ("" if op == "delete" else piece) + text[j:]
+    try:
+        dsl.parse(text, registry())
+    except dsl.ParseError:
+        pass
 
 
 def test_domain_forms():

@@ -348,14 +348,17 @@ def _fresh_copy(g):
     return Ultragraph(g.name, g.vertex_families, g.edge_families.values())
 
 
-def _cold_answers(g, e):
-    """Per-edge answers of a copy of g that has answered nothing yet."""
+def _cold_answers(g, e, nxt):
+    """Per-edge answers of a copy of g that has answered nothing yet; the
+    adjacency of e to each edge of ``nxt``."""
     h = _fresh_copy(g)
     found, complete = h.minimal_emitters_in(h.range_of(e))
     successors = h.epsilon(h.range_of(e))
     return (h.source(e), h.range_of(e), successors,
             (tuple(found), complete),
-            tuple(bounded_edges(successors, 3, 2)))
+            tuple(bounded_edges(successors, 3, 2)),
+            tuple(EdgeRef(*p) for p in successors.sample(6)),
+            tuple(successors.contains(*e2) for e2 in nxt))
 
 
 def test_memoized_edge_answers_match_a_fresh_graph():
@@ -369,8 +372,10 @@ def test_memoized_edge_answers_match_a_fresh_graph():
         for _ in range(2):  # the second pass reads the memo
             for e in edges:
                 warm = (g.source(e), g.range_of(e), g.successor_edges(e),
-                        g.range_emitters(e), g.bounded_successors(e, 3, 2))
-                assert warm == _cold_answers(g, e), (g.name, e)
+                        g.range_emitters(e), g.bounded_successors(e, 3, 2),
+                        g.successor_sample(e, 6),
+                        tuple(g.adjacent(e, e2) for e2 in edges))
+                assert warm == _cold_answers(g, e, edges), (g.name, e)
                 checked += 1
     assert checked > 100
 
@@ -389,6 +394,14 @@ def test_edge_memo_stays_bounded(monkeypatch):
             assert g.bounded_successors(e, bound) == tuple(bounded_edges(
                 _fresh_copy(g).successor_edges(e), bound))
             assert len(g._bounded_successors) <= 4
+            assert g.successor_sample(e, bound) == tuple(
+                EdgeRef(*p) for p in
+                _fresh_copy(g).successor_edges(e).sample(bound))
+            assert len(g._successor_samples) <= 4
+        for e2 in edges[:6]:
+            h = _fresh_copy(g)
+            assert g.adjacent(e, e2) == h.source_in(e2, h.range_of(e))
+            assert len(g._adjacent) <= 4
 
 
 def test_edge_ref_is_its_family_index_pair():
