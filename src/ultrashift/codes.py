@@ -202,7 +202,7 @@ def _schema_window(classes) -> int | None:
             if s.has_rep():
                 return None
             if s.atoms:
-                last = max(last, s.anchor + len(s.atoms) - 1)
+                last = max(last, s.fixed_window()[1])
     return last
 
 
@@ -399,7 +399,7 @@ def eval_resolved(phi, x: Point, depth: int | None = None) -> Point:
 # -- partition validation -------------------------------------------------------
 
 
-def validate_partition(phi, samples, depth: int = 8) -> Verdict:
+def validate_partition(phi, samples) -> Verdict:
     """Sampled check that the classes are pairwise disjoint and covering,
     and that emitter classes are invariant along the shift orbit."""
     if not phi.classes:
@@ -412,7 +412,7 @@ def validate_partition(phi, samples, depth: int = 8) -> Verdict:
             return Verdict("partition", FAILS, str(err), x)
         if isinstance(sym, MinimalEmitter):
             cur = x
-            for i in range(depth):
+            for i in range(8):
                 cur = shift(cur)
                 try:
                     again = phi.symbol_at(cur)
@@ -423,7 +423,7 @@ def validate_partition(phi, samples, depth: int = 8) -> Verdict:
                         "partition", FAILS,
                         f"class of {sym} is not shift invariant", x)
     return Verdict("partition", HOLDS, f"{len(samples)} samples",
-                   bounds={"samples": len(samples), "depth": depth})
+                   bounds={"samples": len(samples), "depth": 8})
 
 
 # -- commutation and periods ------------------------------------------------------
@@ -745,19 +745,44 @@ def _certify_schema_open(g: Ultragraph, cls, s: PcSchema):
     prefix = tuple(kinds[:first])
     if any(not isinstance(a, (LitAtom, VarAtom)) for a in prefix):
         return False, "repetitions before an emitter are not certifiable"
-    params = IndexSet.all()
-    if any(isinstance(a, VarAtom) and a.map.scale != 0 for a in prefix):
-        # the head reads the parameter, so at a value j only the siblings'
-        # instances at j follow it, each with one edge; whether the rest of
-        # eps(B) is finite is then the same at every value, so read one
-        params = IndexSet.of(s.param_domain.sample(1)[0])
-    covered = _sure_next_edges(g, cls, prefix, params)
-    missing = g.epsilon(B.vertices).difference(covered)
-    if missing.is_finite():
-        return True, ("emitter-ended pattern with sibling coverage; "
-                      f"excluded set {missing}")
-    return False, (f"emitter-ended pattern leaves infinitely many extension "
-                   f"edges uncovered ({missing})")
+    reads = _reads_param(prefix)
+    values = [0]  # a head that reads no parameter is one edge path
+    if reads:
+        # only a sibling whose head reads no parameter adds infinitely many
+        # edges, and its head is the pattern's at one value at most; every
+        # other value gives the same finiteness, so read one more of them
+        found = (match_atoms(s.param_domain, prefix,
+                             FinitePoint(_instance(t.atoms[:-1], 0)), 1)
+                 for t in cls.body
+                 if t.anchor == 1 and len(t.atoms) == len(prefix) + 1 and
+                 not t.has_rep() and not _reads_param(t.atoms[:-1]))
+        special = sorted({m.param for m in found if m is not None})
+        values = [j for j in s.param_domain.sample(len(special) + 1)
+                  if j not in special][:1] + special
+    excluded = SymbolicSet.empty()
+    for j in values:
+        # in a family class only the siblings' instances at the pattern's
+        # value give its symbol
+        params = IndexSet.of(j) if reads and cls.family is not None \
+            else IndexSet.all()
+        covered = _sure_next_edges(g, cls, _instance(prefix, j), params)
+        missing = g.epsilon(B.vertices).difference(covered)
+        if not missing.is_finite():
+            return False, (f"emitter-ended pattern leaves infinitely many "
+                           f"extension edges uncovered ({missing})")
+        excluded = excluded.union(missing)
+    return True, ("emitter-ended pattern with sibling coverage; "
+                  f"excluded set {excluded}")
+
+
+def _reads_param(atoms) -> bool:
+    return any(isinstance(a, VarAtom) and a.map.scale != 0 for a in atoms)
+
+
+def _instance(atoms, j: int) -> tuple:
+    """The edges that edge-only atoms name at parameter value j."""
+    return tuple(a.symbol if isinstance(a, LitAtom)
+                 else EdgeRef(a.family, a.map.apply(j)) for a in atoms)
 
 
 def check_genchl_iia(phi, x_bar: FinitePoint, tries: int = 24) -> Verdict:
@@ -970,18 +995,24 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
 
 def _sure_next_edges(g: Ultragraph, cls: SchemaClass, head: tuple,
                      params: IndexSet) -> SymbolicSet:
-    """Edges e such that every point starting with ``head + e`` lies in the
-    class for sure, through a body schema anchored at the first coordinate
-    whose atoms are ``head`` and one more; the parameter is narrowed to
+    """Edges e such that every point starting with the edges ``head`` and
+    then e lies in the class for sure, through a body schema anchored at
+    the first coordinate whose atoms match ``head`` and add one more; the
+    schema's parameter is narrowed to the value its head matched and to
     ``params``."""
     out = SymbolicSet.empty()
+    start = FinitePoint(head)
     for s in cls.body:
-        if s.anchor != 1 or len(s.atoms) != len(head) + 1 or \
-                tuple(s.atoms[:-1]) != head:
+        if s.anchor != 1 or len(s.atoms) != len(head) + 1 or s.has_rep():
+            continue
+        got = match_atoms(s.param_domain, s.atoms[:-1], start, 1)
+        if got is None:
             continue
         dom = s.param_domain
         if dom is not None:
             dom = dom.intersect(params)
+            if got.param is not None:
+                dom = dom.intersect(IndexSet.of(got.param))
             if dom.is_empty():
                 continue  # no instance of the schema at these values
         out = out.union(_atom_edges(g, s.atoms[-1], dom))

@@ -136,8 +136,8 @@ def finite_cycle_graph(size: int = 3) -> Ultragraph:
 
 # convenient refs for tests
 
-def d(i: int = 0) -> EdgeRef:
-    return EdgeRef("d", i)
+def d() -> EdgeRef:
+    return EdgeRef("d", 0)
 
 
 def f(i: int) -> EdgeRef:

@@ -194,8 +194,8 @@ def match_atoms(dom: IndexSet | None, atoms, x: Point, start: int,
     return SchemaMatch(param, None, (start, start + len(atoms) - 1))
 
 
-def pc_contains(s: PcSchema, x: Point, max_rep: int = 64) -> bool:
-    return match_schema(s, x, max_rep) is not None
+def pc_contains(s: PcSchema, x: Point) -> bool:
+    return match_schema(s, x) is not None
 
 
 def side_matches(schemas, x: Point, max_rep: int = 64):
@@ -213,8 +213,8 @@ class FdPresentation:
     positive: tuple
     negative: tuple
 
-    def member(self, x: Point, max_rep: int = 64) -> bool:
-        return side_matches(self.positive, x, max_rep) is not None
+    def member(self, x: Point) -> bool:
+        return side_matches(self.positive, x) is not None
 
 
 @dataclass
@@ -346,21 +346,21 @@ def validate_fd_presentation(g: Ultragraph, P: FdPresentation,
 # -- union and intersection -----------------------------------------------------
 
 
-def fd_union(g: Ultragraph, a: FdPresentation, b: FdPresentation,
-             index_bound: int = 6, rep_bound: int = 6) -> FdPresentation:
+def fd_union(g: Ultragraph, a: FdPresentation,
+             b: FdPresentation) -> FdPresentation:
     neg = []
     for s1 in a.negative:
         for s2 in b.negative:
-            neg.extend(schema_intersect(g, s1, s2, index_bound, rep_bound))
+            neg.extend(schema_intersect(g, s1, s2, 6, 6))
     return FdPresentation(a.positive + b.positive, tuple(neg))
 
 
-def fd_intersect(g: Ultragraph, a: FdPresentation, b: FdPresentation,
-                 index_bound: int = 6, rep_bound: int = 6) -> FdPresentation:
+def fd_intersect(g: Ultragraph, a: FdPresentation,
+                 b: FdPresentation) -> FdPresentation:
     pos = []
     for s1 in a.positive:
         for s2 in b.positive:
-            pos.extend(schema_intersect(g, s1, s2, index_bound, rep_bound))
+            pos.extend(schema_intersect(g, s1, s2, 6, 6))
     return FdPresentation(tuple(pos), a.negative + b.negative)
 
 
@@ -563,8 +563,7 @@ class RefutationResult:
 
 
 def refute_finitely_defined(g: Ultragraph, oracle: SetOracle, x: Point,
-                            max_window: int, index_bound: int = 6,
-                            tries: int = 40) -> RefutationResult:
+                            max_window: int) -> RefutationResult:
     """For every window (k, l) inside [1, max_window], exhibit a point that
     agrees with x there but is outside the set.  Success shows no union of
     pseudo cylinders with windows inside [1, max_window] covers x, which
@@ -575,7 +574,7 @@ def refute_finitely_defined(g: Ultragraph, oracle: SetOracle, x: Point,
     stuck: list[tuple[int, int]] = []
     for k in range(1, max_window + 1):
         for l in range(k, max_window + 1):
-            y = _refuting_point(g, oracle, x, k, l, index_bound, tries)
+            y = _refuting_point(g, oracle, x, k, l, 6, 40)
             if y is None:
                 stuck.append((k, l))
             else:
@@ -644,8 +643,8 @@ def _window_variants(g: Ultragraph, x: Point, k: int, l: int,
             if not isinstance(b.symbols[-1], EdgeRef):
                 continue
             first = window_syms[k - 1]
-            if isinstance(first, EdgeRef) and not g.source_in(
-                    first, g.range_of(b.symbols[-1])):
+            if isinstance(first, EdgeRef) and \
+                    not g.adjacent(b.symbols[-1], first):
                 continue
             up = Ultrapath(tuple(b.symbols), g.range_of(b.symbols[-1]))
             try:

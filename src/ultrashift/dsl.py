@@ -90,9 +90,9 @@ def _lex(text: str) -> list[Token]:
                 col += len(p)
                 break
         else:
-            if c.isdigit():
+            if c.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 out.append(Token("int", int(text[i:j]), line, col))
                 col += j - i
@@ -291,7 +291,7 @@ class _Parser:
                 continue
             return acc
 
-    def vset(self, vfams: dict, var: str = "k"):
+    def vset(self, vfams: dict):
         """A vertex set: constant entries plus parametric atoms."""
         const_parts = []
         atoms = []
@@ -321,7 +321,7 @@ class _Parser:
                     const_parts.append((fam, IndexSet.at_most(
                         self.int_value()).intersect(vfams[fam])))
                 else:
-                    m = self.affine(var)
+                    m = self.affine("k")
                     if m.scale == 0:
                         idx = IndexSet.of(m.offset)
                         if not idx.subset_of(vfams[fam]):

@@ -18,7 +18,9 @@ which is what makes the decision procedures below complete for this class
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -37,10 +39,30 @@ INSTANTIATE_CAP = 64
 # is then reported unsaturated; read at call time.
 CLOSURE_CAP = 1000
 
-# Per-edge answers are memoized per graph; a memo holding this many entries
+# Query answers are memoized per graph; a memo holding this many entries
 # is emptied before it takes another, so walks far from the index origin
 # cannot grow it without bound.
 EDGE_MEMO_CAP = 1 << 14
+
+_MISS = object()
+
+
+def _memoized(query):
+    """Memoize a graph query in ``graph._memos[query name]``, keyed by its
+    positional arguments and emptied when it holds ``EDGE_MEMO_CAP``
+    answers."""
+    name = query.__name__
+
+    @functools.wraps(query)
+    def memoized(self, *args):
+        memo = self._memos[name]
+        got = memo.get(args, _MISS)
+        if got is _MISS:
+            if len(memo) >= EDGE_MEMO_CAP:
+                memo.clear()
+            got = memo[args] = query(self, *args)
+        return got
+    return memoized
 
 
 class GraphError(ValueError):
@@ -143,7 +165,7 @@ class Ultragraph:
 
     Vertex and edge family names share one namespace; index domains are
     arbitrary IndexSets.  Derived data (canonical shapes, closure, minimal
-    emitters) is computed lazily and cached, and so are the per-edge
+    emitters) is computed lazily and memoized, and so are the per-edge
     answers (source, range, successor edges and their samples, bounded
     successors, emitters inside a range, adjacency of two edges), so a
     graph must not be changed after construction.
@@ -166,16 +188,7 @@ class Ultragraph:
                 for vf, _ in rc.atoms:
                     if vf not in self.vertex_families:
                         raise GraphError(f"unknown vertex family {vf}")
-        self._cache = {}
-        # per-edge memos keyed by the EdgeRef
-        self._sources: dict = {}
-        self._ranges: dict = {}
-        self._successors: dict = {}
-        self._range_emitters: dict = {}
-        self._bounded_successors: dict = {}
-        # keyed by (prev, nxt) and (e, k)
-        self._adjacent: dict = {}
-        self._successor_samples: dict = {}
+        self._memos = defaultdict(dict)  # filled by @_memoized queries
 
     # -- elementary queries --------------------------------------------
 
@@ -193,26 +206,16 @@ class Ultragraph:
         return SymbolicSet.of(*((f, ef.domain)
                                 for f, ef in self.edge_families.items()))
 
+    @_memoized
     def source(self, e: EdgeRef) -> tuple[str, int]:
-        got = self._sources.get(e)
-        if got is None:
-            got = _remember(self._sources, e, self._source(e))
-        return got
-
-    def _source(self, e: EdgeRef) -> tuple[str, int]:
         ef = self.edge_families[e.family]
         for sc in ef.source:
             if sc.guard.contains(e.index):
                 return sc.vfamily, sc.map.apply(e.index)
         raise GraphError(f"edge {e} outside its family domain")
 
+    @_memoized
     def range_of(self, e: EdgeRef) -> SymbolicSet:
-        got = self._ranges.get(e)
-        if got is None:
-            got = _remember(self._ranges, e, self._range_of(e))
-        return got
-
-    def _range_of(self, e: EdgeRef) -> SymbolicSet:
         ef = self.edge_families[e.family]
         for rc in ef.ranges:
             if rc.guard.contains(e.index):
@@ -225,14 +228,10 @@ class Ultragraph:
         vf, k = self.source(e)
         return vertices.contains(vf, k)
 
+    @_memoized
     def adjacent(self, prev: EdgeRef, nxt: EdgeRef) -> bool:
         """Whether ``nxt`` may follow ``prev`` on a path."""
-        key = (prev, nxt)
-        got = self._adjacent.get(key)
-        if got is None:
-            got = _remember(self._adjacent, key,
-                            self.source_in(nxt, self.range_of(prev)))
-        return got
+        return self.source_in(nxt, self.range_of(prev))
 
     # -- emitted edges ----------------------------------------------------
 
@@ -260,33 +259,22 @@ class Ultragraph:
                         self.vertex_families[vf])))
         return SymbolicSet.of(*parts)
 
+    @_memoized
     def successor_edges(self, e: EdgeRef) -> SymbolicSet:
         """Edges that may follow ``e`` on a path."""
-        got = self._successors.get(e)
-        if got is None:
-            got = _remember(self._successors, e,
-                            self.epsilon(self.range_of(e)))
-        return got
+        return self.epsilon(self.range_of(e))
 
+    @_memoized
     def successor_sample(self, e: EdgeRef, k: int) -> tuple:
         """``successor_edges(e).sample(k)`` as a tuple of EdgeRefs."""
-        key = (e, k)
-        got = self._successor_samples.get(key)
-        if got is None:
-            got = _remember(self._successor_samples, key, tuple(
-                EdgeRef(fam, idx)
-                for fam, idx in self.successor_edges(e).sample(k)))
-        return got
+        return tuple(EdgeRef(fam, idx)
+                     for fam, idx in self.successor_edges(e).sample(k))
 
+    @_memoized
     def bounded_successors(self, e: EdgeRef, bound: int,
                            widen: int = 0) -> tuple:
         """``bounded_edges`` of the successor edges of ``e``, as a tuple."""
-        key = (e, bound, widen)
-        got = self._bounded_successors.get(key)
-        if got is None:
-            got = _remember(self._bounded_successors, key, tuple(
-                bounded_edges(self.successor_edges(e), bound, widen)))
-        return got
+        return tuple(bounded_edges(self.successor_edges(e), bound, widen))
 
     def infinite_emitter_vertices(self) -> SymbolicSet:
         """Vertices emitting infinitely many edges.
@@ -303,22 +291,19 @@ class Ultragraph:
 
     # -- canonical shapes -----------------------------------------------
 
+    @_memoized
     def canonical_shapes(self) -> tuple[list[Shape], bool]:
         """Range cases rewritten so parameter guards are infinite (or large),
         all atoms have nonzero scale, never land in the constant part, and
         never coincide with each other.  Small finite guards are expanded
         into constant shapes.  Returns (shapes, complete)."""
-        if "shapes" in self._cache:
-            return self._cache["shapes"]
         shapes: list[Shape] = []
         complete = True
         for ef in self.edge_families.values():
             for rc in ef.ranges:
                 label = f"r({ef.name})"
                 complete &= self._canon_case(rc, label, shapes)
-        out = (_dedupe_shapes(shapes), complete)
-        self._cache["shapes"] = out
-        return out
+        return _dedupe_shapes(shapes), complete
 
     def _canon_case(self, rc: RangeCase, label: str, out: list[Shape]) -> bool:
         guard = rc.guard
@@ -397,6 +382,7 @@ class Ultragraph:
 
     # -- closure and algebra membership -----------------------------------
 
+    @_memoized
     def cores(self):
         """Closure under intersection of the constant parts of canonical
         shapes.  Every finite intersection of edge ranges equals one of
@@ -404,8 +390,6 @@ class Ultragraph:
         infinite skeleton of the generated algebra.
 
         Returns (list of (SymbolicSet, label), saturated flag)."""
-        if "cores" in self._cache:
-            return self._cache["cores"]
         shapes, complete = self.canonical_shapes()
         seeds: list[tuple[SymbolicSet, str]] = []
         seen: set[SymbolicSet] = set()
@@ -429,16 +413,13 @@ class Ultragraph:
                 item = (meet, f"{cur_label} & {other_label}")
                 seeds.append(item)
                 work.append(item)
-        out = (seeds, saturated)
-        self._cache["cores"] = out
-        return out
+        return seeds, saturated
 
+    @_memoized
     def range_intersection_closure(self):
         """Closure of the canonical range shapes under pairwise
         intersection, computed schematically over the index parameters.
         Returns (list of Shape, saturated flag)."""
-        if "closure" in self._cache:
-            return self._cache["closure"]
         shapes, complete = self.canonical_shapes()
         pool: list[Shape] = list(shapes)
         seen = {(s.const, s.guard, s.atoms) for s in pool}
@@ -463,9 +444,7 @@ class Ultragraph:
                 if not saturated:
                     break
             frontier = nxt
-        out = (pool, saturated)
-        self._cache["closure"] = out
-        return out
+        return pool, saturated
 
     def _survive_in(self, atoms, other_const: SymbolicSet, guard: IndexSet):
         """Alive regions for atoms that must land inside another constant."""
@@ -559,6 +538,7 @@ class Ultragraph:
 
     # -- minimal infinite emitters ----------------------------------------
 
+    @_memoized
     def minimal_infinite_emitters(self):
         """All minimal infinite emitters, with certificates.
 
@@ -567,8 +547,6 @@ class Ultragraph:
         algebra contains one of these, so the subset-minimal candidates are
         exactly the minimal infinite emitters (complete when the closure
         saturated).  Returns (list of MinimalEmitter, complete flag)."""
-        if "memit" in self._cache:
-            return self._cache["memit"]
         cores, saturated = self.cores()
         cands: list[tuple[SymbolicSet, str]] = []
         for vf, k in self.infinite_emitter_vertices().members():
@@ -586,24 +564,19 @@ class Ultragraph:
                 continue
             result.append(MinimalEmitter(s, cert))
         result.sort(key=lambda m: str(m.vertices))
-        out = (result, saturated)
-        self._cache["memit"] = out
-        return out
+        return result, saturated
 
     def minimal_emitters_in(self, vertices: SymbolicSet):
         """Minimal infinite emitters contained in the given vertex set."""
         emitters, complete = self.minimal_infinite_emitters()
         return [m for m in emitters if m.vertices.subset_of(vertices)], complete
 
+    @_memoized
     def range_emitters(self, e: EdgeRef):
         """Minimal infinite emitters contained in r(e): a tuple, and the
         completeness flag of ``minimal_emitters_in``."""
-        got = self._range_emitters.get(e)
-        if got is None:
-            found, complete = self.minimal_emitters_in(self.range_of(e))
-            got = _remember(self._range_emitters, e,
-                            (tuple(found), complete))
-        return got
+        found, complete = self.minimal_emitters_in(self.range_of(e))
+        return tuple(found), complete
 
     def __repr__(self) -> str:
         return f"Ultragraph({self.name!r})"
@@ -622,13 +595,6 @@ def bounded_edges(edges: SymbolicSet, bound: int,
             return out
         bound *= 4
     return []
-
-
-def _remember(memo: dict, key, value):
-    if len(memo) >= EDGE_MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 def _fixpoint(m: AffineIndexMap) -> int | None:

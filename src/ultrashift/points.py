@@ -468,8 +468,8 @@ def _default_f_list(g: Ultragraph, target: FinitePoint):
 # -- witnesses for blocks ------------------------------------------------------
 
 
-def block_witness(g: Ultragraph, block, index_bound: int = 8,
-                  steps: int = 24) -> Point | None:
+def block_witness(g: Ultragraph, block,
+                  index_bound: int = 8) -> Point | None:
     """A point carrying the block at position 1, built constructively:
     either the block already ends in an emitter tail, or the trailing edge
     is extended until an edge repeats (periodic closure) or an emitter tail
@@ -481,7 +481,7 @@ def block_witness(g: Ultragraph, block, index_bound: int = 8,
         return FinitePoint(tuple(syms[:emitter_at]), syms[emitter_at])
     path = list(syms)
     seen = {}
-    for step in range(steps):
+    for step in range(24):
         last = path[-1]
         if last in seen and seen[last] < len(path) - 1:
             i = seen[last]

@@ -28,8 +28,8 @@ def random_edge(g: Ultragraph, rng: random.Random, bound: int = 8) -> EdgeRef:
 
 
 def random_walk(g: Ultragraph, rng: random.Random, steps: int,
-                bound: int = 8, start: EdgeRef | None = None):
-    path = [start or random_edge(g, rng, bound)]
+                bound: int = 8):
+    path = [random_edge(g, rng, bound)]
     for _ in range(steps - 1):
         cands = g.bounded_successors(path[-1], bound, WIDEN)
         if not cands:
@@ -39,8 +39,8 @@ def random_walk(g: Ultragraph, rng: random.Random, steps: int,
 
 
 def random_periodic_point(g: Ultragraph, rng: random.Random,
-                          steps: int = 8, bound: int = 8) -> PeriodicPoint | None:
-    walk = random_walk(g, rng, steps, bound)
+                          bound: int = 8) -> PeriodicPoint | None:
+    walk = random_walk(g, rng, 8, bound)
     seen = {}
     for i, e in enumerate(walk):
         if e in seen:
@@ -57,14 +57,14 @@ def random_periodic_point(g: Ultragraph, rng: random.Random,
 
 
 def random_finite_point(g: Ultragraph, rng: random.Random,
-                        steps: int = 5, bound: int = 8) -> FinitePoint | None:
+                        bound: int = 8) -> FinitePoint | None:
     emitters, _ = g.minimal_infinite_emitters()
     if not emitters:
         return None
     if rng.random() < 0.2:
         return FinitePoint((), rng.choice(emitters))
     for _ in range(6):
-        walk = random_walk(g, rng, rng.randint(1, steps), bound)
+        walk = random_walk(g, rng, rng.randint(1, 5), bound)
         tails, _ = g.range_emitters(walk[-1])
         if tails:
             return FinitePoint(tuple(walk), rng.choice(tails))
@@ -90,10 +90,9 @@ def zero_points(g: Ultragraph) -> list[FinitePoint]:
     return [FinitePoint((), m) for m in emitters]
 
 
-def random_cylinder(g: Ultragraph, rng: random.Random, max_base: int = 3,
-                    max_excluded: int = 2, bound: int = 8,
+def random_cylinder(g: Ultragraph, rng: random.Random,
                     min_base: int = 0) -> Cylinder:
-    base_len = rng.randint(min_base, max_base)
+    base_len = rng.randint(min_base, 3)
     if base_len == 0:
         emitters, _ = g.minimal_infinite_emitters()
         choices = [m.vertices for m in emitters]
@@ -103,7 +102,7 @@ def random_cylinder(g: Ultragraph, rng: random.Random, max_base: int = 3,
         terminal = rng.choice([c for c in choices if not c.is_empty()])
         base = Ultrapath((), terminal)
     else:
-        walk = random_walk(g, rng, base_len, bound)
+        walk = random_walk(g, rng, base_len)
         rng_last = g.range_of(walk[-1])
         choices = [rng_last]
         choices += [m.vertices for m in g.range_emitters(walk[-1])[0]]
@@ -113,18 +112,18 @@ def random_cylinder(g: Ultragraph, rng: random.Random, max_base: int = 3,
                                            IndexSet.of(first[0][1]))))
         base = Ultrapath(tuple(walk), rng.choice(choices))
     eps = g.epsilon(base.terminal)
-    pool = bounded_edges(eps, bound, WIDEN)
+    pool = bounded_edges(eps, 8, WIDEN)
     rng.shuffle(pool)
-    chosen = pool[:rng.randint(0, min(max_excluded, len(pool)))]
+    chosen = pool[:rng.randint(0, min(2, len(pool)))]
     excluded = SymbolicSet.of(*((e.family, IndexSet.of(e.index))
                                 for e in chosen))
     return Cylinder(base, excluded)
 
 
-def point_pool(g: Ultragraph, rng: random.Random, size: int = 40,
-               bound: int = 8) -> list[Point]:
+def point_pool(g: Ultragraph, rng: random.Random,
+               size: int = 40) -> list[Point]:
     """Zero-length points, short finite points, and random periodics."""
     pool: list[Point] = list(zero_points(g))
     while len(pool) < size:
-        pool.append(random_point(g, rng, bound))
+        pool.append(random_point(g, rng))
     return pool

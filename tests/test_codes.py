@@ -331,6 +331,26 @@ def test_item_i_reads_sibling_coverage_per_parameter_value():
     assert check_csc_item_i(phi).status == "holds"
 
 
+def test_item_i_matches_siblings_whose_head_names_the_instance():
+    # f[j] A with j in {3} is the one point (f[3] A ...); its siblings
+    # f[3] f[k] and f[3] d cover eps(A), although their heads are spelled
+    # apart from the pattern's
+    ge1 = IndexSet.at_least(1)
+
+    def phi(values):
+        return MapPresentation(GA, HA, [SchemaClass([
+            PcSchema(1, (VarAtom("f"), LitAtom(A_W)), values),
+            PcSchema(1, (LitAtom(f(3)), VarAtom("f")), ge1),
+            PcSchema(1, (LitAtom(f(3)), LitAtom(d())))], symbol=e(1))])
+
+    assert check_csc_item_i(phi(IndexSet.of(3))).status == "holds"
+    # at j = 5 no sibling follows f[5], so every cylinder at (f[5] A ...)
+    # holds points outside the class
+    verdict = check_csc_item_i(phi(IndexSet.of(3, 5)))
+    assert verdict.status == "fails"
+    assert "uncovered" in verdict.detail
+
+
 def test_item_i_rejects_bare_emitter_schema_in_edge_class():
     phi = MapPresentation(HD, GD, [
         SchemaClass([PcSchema(1, (LitAtom(P),))], symbol=e(0)),

@@ -91,6 +91,49 @@ def test_every_private_helper_parameter_is_read_and_set():
     assert dead == []
 
 
+def _calls_by_name(paths):
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_public_default_and_method_default_is_passed():
+    # a default that no call in the package, the benchmark or the tests
+    # overrides selects nothing; constructors are called by class name
+    root = PACKAGE.parent.parent
+    calls = _calls_by_name(path for tree in ("src", "bench", "tests")
+                           for path in sorted((root / tree).rglob("*.py")))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = []  # (label, node, name calls use, leading params calls skip)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_"):
+                defs.append((node.name, node, node.name, 0))
+            elif isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in m.decorator_list)
+                    called = node.name if m.name == "__init__" else m.name
+                    defs.append((f"{node.name}.{m.name}", m, called,
+                                 0 if static else 1))
+        for label, node, called, skip in defs:
+            positional, _, defaulted = _parameters(node)
+            dead += [f"{path.name}:{node.lineno} {label}({p.arg})"
+                     for p in defaulted
+                     if not any(_passes(c, positional[skip:], p)
+                                for c in calls.get(called, []))]
+    assert dead == []
+
+
 def test_no_module_imports_a_private_name_from_a_sibling():
     # a helper two modules share is public in the module that defines it
     siblings = {p.stem for p in PACKAGE.glob("*.py")}

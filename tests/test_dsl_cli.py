@@ -150,6 +150,15 @@ def test_parse_raises_only_parse_errors(doc, changes):
         pass
 
 
+@pytest.mark.parametrize("text", [
+    "\u00b2", "ultragraph G { vertices v over \u00b2 }",
+    "point x of G = fin: d[1\u00b2] | auto"])
+def test_digit_that_is_not_decimal_is_a_parse_error(text):
+    # str.isdigit accepts superscripts, which int() rejects
+    with pytest.raises(dsl.ParseError, match="unexpected character"):
+        dsl.parse(text, registry())
+
+
 def test_domain_forms():
     text = """
     ultragraph G {

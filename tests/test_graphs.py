@@ -380,28 +380,56 @@ def test_memoized_edge_answers_match_a_fresh_graph():
     assert checked > 100
 
 
-def test_edge_memo_stays_bounded(monkeypatch):
-    from ultrashift import graphs
+EDGE_QUERIES = {"source", "range_of", "adjacent", "successor_edges",
+                "successor_sample", "bounded_successors", "range_emitters"}
+GRAPH_QUERIES = {"canonical_shapes", "cores", "range_intersection_closure",
+                 "minimal_infinite_emitters"}
 
+
+def _ask_everything(g, edges, bounds=(1, 2, 3)):
+    """Ask every memoized query of g; yield each answer with the answer of
+    a copy of g that has answered nothing yet."""
+    for query in GRAPH_QUERIES:
+        yield getattr(g, query)(), getattr(_fresh_copy(g), query)()
+    for e in edges:
+        h = _fresh_copy(g)
+        found, complete = h.minimal_emitters_in(h.range_of(e))
+        yield g.source(e), h.source(e)
+        yield g.range_of(e), h.range_of(e)
+        yield g.successor_edges(e), h.epsilon(h.range_of(e))
+        yield g.range_emitters(e), (tuple(found), complete)
+        for bound in bounds:
+            yield g.bounded_successors(e, bound), tuple(bounded_edges(
+                h.epsilon(h.range_of(e)), bound))
+            yield g.successor_sample(e, bound), tuple(
+                EdgeRef(*p) for p in h.epsilon(h.range_of(e)).sample(bound))
+        for e2 in edges[:6]:
+            yield g.adjacent(e, e2), h.source_in(e2, h.range_of(e))
+
+
+def test_edge_memo_stays_bounded(monkeypatch):
     monkeypatch.setattr(graphs, "EDGE_MEMO_CAP", 4)
     g = graph_b()
     edges = _edges_near_origin(g, 20)
     assert len(edges) > 8
-    for e in edges + edges:
-        assert g.range_of(e) == _fresh_copy(g).range_of(e)
-        assert len(g._ranges) <= 4
-        for bound in (1, 2, 3):
-            assert g.bounded_successors(e, bound) == tuple(bounded_edges(
-                _fresh_copy(g).successor_edges(e), bound))
-            assert len(g._bounded_successors) <= 4
-            assert g.successor_sample(e, bound) == tuple(
-                EdgeRef(*p) for p in
-                _fresh_copy(g).successor_edges(e).sample(bound))
-            assert len(g._successor_samples) <= 4
-        for e2 in edges[:6]:
-            h = _fresh_copy(g)
-            assert g.adjacent(e, e2) == h.source_in(e2, h.range_of(e))
-            assert len(g._adjacent) <= 4
+    for warm, cold in _ask_everything(g, edges + edges):
+        assert warm == cold
+        assert all(len(memo) <= 4 for memo in g._memos.values())
+    assert set(g._memos) == EDGE_QUERIES | GRAPH_QUERIES
+    for query in GRAPH_QUERIES:  # one answer each, handed out again
+        assert len(g._memos[query]) == 1
+        assert getattr(g, query)() is getattr(g, query)()
+
+
+def test_graph_memos_live_in_one_place():
+    # every answer a graph keeps sits in _memos, under the query's name
+    for g in (graph_a_source(), graph_b(), graph_d_target()):
+        for _ in _ask_everything(g, _edges_near_origin(g, 3), (2,)):
+            pass
+        held = {name for name, value in vars(g).items()
+                if isinstance(value, dict)}
+        assert held == {"vertex_families", "edge_families", "_memos"}
+        assert set(g._memos) == EDGE_QUERIES | GRAPH_QUERIES
 
 
 def test_edge_ref_is_its_family_index_pair():
