@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -34,7 +33,6 @@ from .graphs import MinimalEmitter, validate_ultragraph
 from .intsets import SymbolicSet
 from .paths import PathError, enumerate_blocks
 from .points import (
-    ConvergenceBounds,
     PointError,
     RepeatFamily,
     check_convergence,
@@ -50,29 +48,6 @@ ERROR = "error"
 # the package's own errors (PartitionError is a MapError); anything else
 # is a fault of the program and surfaces as a traceback
 _PACKAGE_ERRORS = (MapError, PointError, PathError)
-
-
-# the keys ULTRASHIFT_DEFAULT_BOUNDS may set
-_ENV_KEYS = ("samples", "tries", "depth", "m_max", "n_max")
-
-
-def _env_bounds() -> dict:
-    """Bounds from ULTRASHIFT_DEFAULT_BOUNDS ("tries=6,depth=12"); an
-    unknown key or a value that is not an integer is a usage error."""
-    raw = os.environ.get("ULTRASHIFT_DEFAULT_BOUNDS", "")
-    out = {}
-    for bit in filter(str.strip, raw.split(",")):
-        k, _, v = bit.partition("=")
-        try:
-            if k.strip() not in _ENV_KEYS:
-                raise ValueError(k)
-            out[k.strip()] = int(v)
-        except ValueError:
-            raise SystemExit(
-                f"error: ULTRASHIFT_DEFAULT_BOUNDS entry {bit.strip()!r} is "
-                f"not key=integer with a key among {', '.join(_ENV_KEYS)}"
-            ) from None
-    return out
 
 
 def _read(path: str) -> str:
@@ -142,10 +117,6 @@ def _point_from(doc, reg, g, text: str):
     if text in doc.points:
         return doc.points[text][1]
     return dsl.parse_point_literal(g, text, reg)
-
-
-def _sample_pool(g, size: int):
-    return sampling.point_pool(g, random.Random(0), size)
 
 
 def cmd_validate(args) -> Report:
@@ -219,6 +190,8 @@ def cmd_eval(args) -> Report:
                            bounds={"depth": args.depth}))
     except MapError as err:
         report.add(Verdict("eval", FAILS, str(err), x))
+    except _PACKAGE_ERRORS as err:
+        report.add(_error("eval", err))
     return report
 
 
@@ -226,31 +199,24 @@ def _error(check: str, err: Exception) -> Verdict:
     return Verdict(check, ERROR, f"{type(err).__name__}: {err}")
 
 
-def _check_verdicts(kind: str, phi, samples, env):
+def _check_verdicts(kind: str, phi, samples):
     """The verdicts of one check kind, in order, each as it is reached."""
-    tries = env.get("tries", 24)
-    depth = env.get("depth", 16)
-    M = env.get("m_max", 4)
     if kind == "commute":
         yield validate_partition(phi, samples)
-        yield check_commuting(phi, samples, depth)
+        yield check_commuting(phi, samples)
     elif kind in ("csc", "genchl"):
         yield check_csc_item_i(phi)
         for x0 in sampling.zero_points(phi.source):
             img = eval_map(phi, x0, 8).prefix[0]
             if isinstance(img, MinimalEmitter):
                 if kind == "csc":
-                    yield check_csc_item_ii(phi, x0, SymbolicSet.empty(),
-                                            tries)
+                    yield check_csc_item_ii(phi, x0, SymbolicSet.empty())
                 else:
-                    yield check_genchl_iia(phi, x0, tries)
-                    yield check_genchl_iib(phi, x0, tries=tries)
-            # item iii's default tries is 16, not 24; an environment value
-            # replaces both
-            yield check_csc_item_iii(phi, x0.tail, M=M,
-                                     tries=env.get("tries", 16))
+                    yield check_genchl_iia(phi, x0)
+                    yield check_genchl_iib(phi, x0)
+            yield check_csc_item_iii(phi, x0.tail)
     elif kind == "length-preserving":
-        yield check_length_preserving(phi, samples, tries)
+        yield check_length_preserving(phi, samples)
     else:
         raise SystemExit(f"error: unknown check kind {kind!r}")
 
@@ -258,12 +224,11 @@ def _check_verdicts(kind: str, phi, samples, env):
 def cmd_check(args) -> Report:
     doc, _ = _load(args.file)
     phi = _map_from(doc, args.map)
-    env = _env_bounds()
-    samples = _sample_pool(phi.source, env.get("samples", 40))
+    samples = sampling.point_pool(phi.source, random.Random(0))
     report = Report(f"check {args.kind}")
     verdicts = []
     try:
-        for v in _check_verdicts(args.kind, phi, samples, env):
+        for v in _check_verdicts(args.kind, phi, samples):
             verdicts.append(v)
     except _PACKAGE_ERRORS as err:
         verdicts.append(_error(f"check {args.kind}", err))
@@ -341,12 +306,9 @@ def cmd_converge(args) -> Report:
     seq = reg[args.seq]
     g = _graph_from(doc, args.graph)
     target = _point_from(doc, reg, g, args.target)
-    env = _env_bounds()
-    bounds = ConvergenceBounds(m_max=env.get("m_max", 8),
-                               n_max=env.get("n_max", 32))
     report = Report("converge")
     try:
-        verdict = check_convergence(g, seq, target, bounds)
+        verdict = check_convergence(g, seq, target)
     except _PACKAGE_ERRORS as err:
         report.add(_error(f"converge({args.seq})", err))
         return report

@@ -272,9 +272,9 @@ def class_membership_oracle(phi, sym):
     return member
 
 
-def _try_point(g: Ultragraph, syms: tuple, bound: int = 8):
+def _try_point(g: Ultragraph, syms: tuple):
     """A valid point carrying the given symbols at position 1, or None."""
-    w = block_witness(g, Block(tuple(syms)), bound)
+    w = block_witness(g, Block(tuple(syms)), 8)
     return None if w is None or _problems(g, w) else w
 
 
@@ -566,7 +566,7 @@ def first_edges_into_class(phi, cls, prefix: tuple,
         eps = g.all_edges()
         for fam, idx in eps.sample(tries):
             e = EdgeRef(fam, idx)
-            w = _try_point(g, tuple(prefix) + (e,), 8)
+            w = _try_point(g, tuple(prefix) + (e,))
             if w is not None and cls.member(w):
                 found.append((fam, IndexSet.of(idx)))
         return EdgeConstraint(SymbolicSet.of(*found), False, "under")
@@ -776,7 +776,7 @@ def _certify_schema_open(g: Ultragraph, cls, s: PcSchema):
 
 
 def _reads_param(atoms) -> bool:
-    return any(isinstance(a, VarAtom) and a.map.scale != 0 for a in atoms)
+    return any(isinstance(a, VarAtom) for a in atoms)
 
 
 def _instance(atoms, j: int) -> tuple:
@@ -785,7 +785,7 @@ def _instance(atoms, j: int) -> tuple:
                  else EdgeRef(a.family, a.map.apply(j)) for a in atoms)
 
 
-def check_genchl_iia(phi, x_bar: FinitePoint, tries: int = 24) -> Verdict:
+def check_genchl_iia(phi, x_bar: FinitePoint) -> Verdict:
     """At a finite point with length-zero image, all but finitely many
     extension edges must keep the image inside the basic neighborhood of
     the image tail.  Returns the minimal certified excluded set."""
@@ -797,7 +797,7 @@ def check_genchl_iia(phi, x_bar: FinitePoint, tries: int = 24) -> Verdict:
     B = img.tail
     good = SymbolSet(h.epsilon(B.vertices), (B,))
     return _escape_verdict("genchl-iia", phi, x_bar.path, x_bar.tail, good,
-                           {"tries": tries})
+                           {"tries": 24})
 
 
 def _escape_verdict(check: str, phi, prefix: tuple, tail: MinimalEmitter,
@@ -847,8 +847,7 @@ def _verify_infinite_escape(phi, prefix, bad_edges: SymbolicSet,
     return None
 
 
-def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet,
-                      tries: int = 24) -> Verdict:
+def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet) -> Verdict:
     """At a finite point with finite image (beta, B), for the target
     neighborhood excluding F there must be a finite source excluded set
     F' with the image of the shifted cylinder inside it."""
@@ -861,7 +860,7 @@ def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet,
     shifted = shift_n(x_bar, l)
     good = SymbolSet(h.epsilon(B.vertices).difference(F), (B,))
     return _escape_verdict("csc-item-ii", phi, shifted.path, x_bar.tail, good,
-                           {"tries": tries, "F": str(F)})
+                           {"tries": 24, "F": str(F)})
 
 
 def compute_A_x(phi, x_bar: FinitePoint, x: Point, tries: int = 24):
@@ -887,10 +886,11 @@ def compute_A_x(phi, x_bar: FinitePoint, x: Point, tries: int = 24):
     return result, result.is_finite(), exact
 
 
-def check_genchl_iib(phi, x_bar: FinitePoint, tries: int = 24) -> Verdict:
+def check_genchl_iib(phi, x_bar: FinitePoint) -> Verdict:
     """The extension-edge sets A_x must be finite for every extension whose
     first image symbol is an edge emitted by the image tail."""
     g, h = phi.source, phi.target
+    tries = 24
     img = eval_resolved(phi, x_bar)
     if length(img) != 0:
         return Verdict("genchl-iib", NOT_APPLICABLE, "image not length zero")
@@ -912,8 +912,7 @@ def check_genchl_iib(phi, x_bar: FinitePoint, tries: int = 24) -> Verdict:
                    bounds={"sampled": checked, "tries": tries})
 
 
-def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
-                       tries: int = 16) -> Verdict:
+def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4) -> Verdict:
     """At a zero-length point with infinite constant image (d d d ...),
     some cylinder at the point must stay inside the class of d for M
     shifts."""
@@ -921,6 +920,7 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
     x0 = FinitePoint((), A)
     img = eval_map(phi, x0, 8)
     d_sym = img.prefix[0]
+    tries = 16
     bounds = {"M": M, "tries": tries}
     if isinstance(d_sym, MinimalEmitter):
         return Verdict("csc-item-iii", NOT_APPLICABLE,
@@ -957,8 +957,7 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4,
     frontier = eps_A.difference(cov)
     if not frontier.is_empty():
         if not frontier.is_finite():
-            got = _iii_escape_witness(phi, A, frontier, d_sym, 0,
-                                      tries=tries)
+            got = _iii_escape_witness(phi, A, frontier, d_sym, 0, F, tries)
             if got:
                 return Verdict("csc-item-iii", FAILS,
                                "infinitely many first edges leave the class "
@@ -1020,15 +1019,14 @@ def _sure_next_edges(g: Ultragraph, cls: SchemaClass, head: tuple,
 
 
 def _iii_escape_witness(phi, A: MinimalEmitter, gap: SymbolicSet, d_sym,
-                        step: int, F: SymbolicSet = SymbolicSet.empty(),
-                        tries: int = 6):
+                        step: int, F: SymbolicSet, tries: int):
     """A point of the cylinder whose i-th shift provably leaves the class."""
     g = phi.source
     for fam, idx in gap.sample(max(tries // 2, 4)):
         bad_edge = EdgeRef(fam, idx)
         # build x in the cylinder whose (step)-th shift starts with bad_edge
         if step == 0:
-            w = _try_point(g, (bad_edge,), 8)
+            w = _try_point(g, (bad_edge,))
             starts = [w] if w is not None else []
         else:
             starts = _backward_paths(g, bad_edge, step,
@@ -1060,19 +1058,19 @@ def _backward_paths(g: Ultragraph, target: EdgeRef, steps: int,
     for p in partial:
         if not first_allowed.contains(p[0].family, p[0].index):
             continue
-        w = _try_point(g, tuple(p), 8)
+        w = _try_point(g, tuple(p))
         if w is not None:
             out.append(w)
     return out
 
 
-def check_length_preserving(phi, samples, tries: int = 24) -> Verdict:
+def check_length_preserving(phi, samples) -> Verdict:
     """Length preservation: the emitter classes must contain exactly the
     zero-length points, edge classes must be open, and the excluded-set
     and finite-extension conditions must hold at zero-length points."""
     g = phi.source
     src_emitters, _ = g.minimal_infinite_emitters()
-    bounds = {"samples": len(samples), "tries": tries}
+    bounds = {"samples": len(samples), "tries": 24}
     for m in src_emitters:
         x0 = FinitePoint((), m)
         sym = phi.symbol_at(x0)
@@ -1100,8 +1098,8 @@ def check_length_preserving(phi, samples, tries: int = 24) -> Verdict:
     worst_status = HOLDS if sub.status == HOLDS else UNKNOWN
     for m in src_emitters:
         x0 = FinitePoint((), m)
-        a = check_genchl_iia(phi, x0, tries)
-        b = check_genchl_iib(phi, x0, tries=tries)
+        a = check_genchl_iia(phi, x0)
+        b = check_genchl_iib(phi, x0)
         for v in (a, b):
             if v.status == FAILS:
                 return Verdict("length-preserving", FAILS,
@@ -1121,12 +1119,12 @@ def check_length_preserving(phi, samples, tries: int = 24) -> Verdict:
 class ProbeBounds:
     n_max: int = 16
     depth: int = 24
-    index_bound: int = 8
     conv: ConvergenceBounds = field(default_factory=ConvergenceBounds)
 
     def as_dict(self):
+        # index_bound: the bound _try_point builds approach points with
         return {"n_max": self.n_max, "depth": self.depth,
-                "index_bound": self.index_bound, **self.conv.as_dict()}
+                "index_bound": 8, **self.conv.as_dict()}
 
 
 def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
@@ -1231,14 +1229,14 @@ def _approach_strategies(g: Ultragraph, x: Point, bounds: ProbeBounds):
     callable n -> point."""
     out = [("constant", lambda n: x)]
     if length(x) == INFINITE:
-        out.extend(_swerve_strategies(g, x, bounds))
+        out.extend(_swerve_strategies(g, x))
         out.extend(_truncate_strategy(g, x))
     else:
         out.extend(_escape_strategy(g, x, bounds))
     return out
 
 
-def _swerve_strategies(g, x, bounds: ProbeBounds):
+def _swerve_strategies(g, x):
     """Keep growing prefixes of x, then continue differently."""
     out = []
     if isinstance(x, PeriodicPoint) and not x.preamble:
@@ -1247,7 +1245,7 @@ def _swerve_strategies(g, x, bounds: ProbeBounds):
         for e2 in g.successor_sample(cyc[-1], 6):
             if e2 == cyc[0]:
                 continue
-            w = _try_point(g, cyc + (e2,), bounds.index_bound)
+            w = _try_point(g, cyc + (e2,))
             if w is None:
                 continue
             tail = shift_n(w, len(cyc))
@@ -1266,7 +1264,7 @@ def _swerve_strategies(g, x, bounds: ProbeBounds):
         for e2 in g.successor_sample(last, 6):
             if e2 == coordinate(x, n + 1):
                 continue
-            w = _try_point(g, edges + (e2,), bounds.index_bound)
+            w = _try_point(g, edges + (e2,))
             if w is not None:
                 return w
         return x
@@ -1294,6 +1292,6 @@ def _escape_strategy(g, x: FinitePoint, bounds: ProbeBounds):
 
     def seq(n):
         e = edges[min(n - 1, len(edges) - 1)]
-        w = _try_point(g, tuple(x.path) + (e,), bounds.index_bound)
+        w = _try_point(g, tuple(x.path) + (e,))
         return w if w is not None else x
     return [("extend past the tail with escaping edges", seq)]

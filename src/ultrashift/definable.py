@@ -64,6 +64,11 @@ class VarAtom:
     family: str
     map: AffineIndexMap = IDENTITY_MAP
 
+    def __post_init__(self):
+        if self.map.scale == 0:
+            raise SchemaError(f"{self.family}[{self.map}] has a constant "
+                              f"index; write it as an edge literal")
+
     def __str__(self) -> str:
         return f"{self.family}[{self.map}]"
 
@@ -179,16 +184,9 @@ def match_atoms(dom: IndexSet | None, atoms, x: Point, start: int,
             if not isinstance(sym, EdgeRef) or sym.family != atom.family:
                 return None
             j = atom.map.solve(sym.index)
-            if j is None:
-                if atom.map.apply(0) != sym.index:
-                    return None
-                j = param  # constant-index var: any value works
-            if j is not None:
-                if param is not None and param != j:
-                    return None
-                if not dom.contains(j):
-                    return None
-                param = j
+            if (param is not None and param != j) or not dom.contains(j):
+                return None
+            param = j
         else:
             raise SchemaError("repetition atoms are handled separately")
     return SchemaMatch(param, None, (start, start + len(atoms) - 1))
@@ -219,10 +217,9 @@ class FdPresentation:
 
 @dataclass
 class SetOracle:
-    """A pure membership predicate with a depth requirement."""
+    """A pure membership predicate."""
 
     member: Callable[[Point], bool]
-    depth: int = 64
     label: str = "oracle"
 
     def __call__(self, x: Point) -> bool:
@@ -294,12 +291,12 @@ class FdBounds:
     depth: int = 3
     index_bound: int = 3
     samples: int = 30
-    max_rep: int = 32
     seed: int = 0
 
     def as_dict(self):
+        # max_rep: the repetition bound validate_fd_presentation matches with
         return {"depth": self.depth, "index_bound": self.index_bound,
-                "samples": self.samples, "max_rep": self.max_rep}
+                "samples": self.samples, "max_rep": 32}
 
 
 def sample_points(g: Ultragraph, bounds: FdBounds) -> list[Point]:
@@ -331,8 +328,8 @@ def validate_fd_presentation(g: Ultragraph, P: FdPresentation,
     point must match exactly one side."""
     bounds = bounds or FdBounds()
     for x in sample_points(g, bounds):
-        pos = side_matches(P.positive, x, bounds.max_rep) is not None
-        neg = side_matches(P.negative, x, bounds.max_rep) is not None
+        pos = side_matches(P.positive, x, 32) is not None
+        neg = side_matches(P.negative, x, 32) is not None
         if pos and neg:
             return Verdict("fd-presentation", FAILS,
                            "both sides match", x, bounds.as_dict())
@@ -520,10 +517,7 @@ def _unify_atoms(a1, a2, param_fix: list):
     var, lit = (a1, a2) if isinstance(a1, VarAtom) else (a2, a1)
     if not isinstance(lit.symbol, EdgeRef) or lit.symbol.family != var.family:
         return None
-    j = var.map.solve(lit.symbol.index)
-    if j is None:
-        return lit if var.map.apply(0) == lit.symbol.index else None
-    param_fix.append(j)
+    param_fix.append(var.map.solve(lit.symbol.index))
     return lit
 
 

@@ -161,3 +161,58 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 found.append(f"{path.name}:{node.lineno} "
                              f"{node.value.id}.{node.attr}")
     assert found == []
+
+
+def _dataclass_fields(node):
+    """The fields of a dataclass definition as (name, has a plain default),
+    in order; None for a class that is no dataclass."""
+    if not any((getattr(d, "id", None) or getattr(d, "attr", None) or
+                getattr(getattr(d, "func", None), "id", None)) == "dataclass"
+               for d in node.decorator_list):
+        return None
+    fields = []
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign):
+            continue
+        v = stmt.value
+        factory = isinstance(v, ast.Call) and \
+            getattr(v.func, "id", None) == "field" and \
+            any(k.arg == "default_factory" for k in v.keywords)
+        fields.append((stmt.target.id, v is not None and not factory))
+    return fields
+
+
+def test_every_dataclass_default_is_set_by_some_constructor_call():
+    # a field default that no constructor call overrides is a bound or
+    # label with two homes; dataclasses.replace sets fields by name too
+    root = PACKAGE.parent.parent
+    calls = _calls_by_name(path for tree in ("src", "bench", "tests")
+                           for path in sorted((root / tree).rglob("*.py")))
+    replaced = {k.arg for c in calls.get("replace", []) for k in c.keywords}
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            fields = isinstance(node, ast.ClassDef) and \
+                _dataclass_fields(node)
+            for pos, (name, plain) in enumerate(fields or []):
+                if plain and name not in replaced and not any(
+                        any(isinstance(a, ast.Starred) for a in c.args) or
+                        any(k.arg in (None, name) for k in c.keywords) or
+                        pos < len(c.args)
+                        for c in calls.get(node.name, [])):
+                    dead.append(f"{path.name}:{node.lineno} "
+                                f"{node.name}.{name}")
+    assert dead == []
+
+
+def test_no_module_reads_the_environment():
+    # a verdict's bounds come from its checker and the command line only
+    reads = ("environ", "environb", "getenv")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, ast.alias) else None
+            if name in reads:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -121,6 +121,22 @@ def test_schema_constraints_enforced():
         PcSchema(0, (LitAtom(d()),))
 
 
+def test_constant_index_var_atom_is_a_schema_error():
+    # an atom with a constant index reads no parameter, so a family class
+    # could not place its matches; an edge literal names the same edge
+    from ultrashift.codes import SchemaClass
+    from ultrashift.intsets import const_map
+
+    with pytest.raises(SchemaError, match="edge literal"):
+        SchemaClass([PcSchema(1, (VarAtom("n", const_map(1)),),
+                              IndexSet.at_least(0))],
+                    family="n", index_domain=IndexSet.at_least(0))
+    with pytest.raises(SchemaError, match="edge literal"):
+        schema_intersect(
+            GB, PcSchema(1, (VarAtom("n"),), IndexSet.at_least(0)),
+            PcSchema(1, (VarAtom("n", const_map(1)),), IndexSet.at_least(0)))
+
+
 # -- cylinder decomposition -----------------------------------------------------
 
 

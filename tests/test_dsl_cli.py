@@ -203,6 +203,28 @@ def _random_graph_text(rng: random.Random) -> str:
     return "\n".join(lines)
 
 
+def test_interval_and_list_index_domains():
+    doc = dsl.parse(GRAPH_A_WITH_MAP + """
+map Forms : G -> H {
+  class e[j] for j in 2..5 { pc 1..1 : f[j] }
+  class e[1] { pc 1..1 : f[k] ; k in 1,6 }
+}
+""", registry())
+    interval, listed = doc.maps["Forms"].classes
+    assert interval.index_domain == IndexSet.between(2, 5)
+    assert listed.body[0].param_domain == IndexSet.of(1, 6)
+
+
+def test_finite_and_periodic_points_print_and_parse_back():
+    doc = dsl.parse(GRAPH_A_WITH_MAP + """
+point zero of G = fin: | auto
+point mixed of G = inf: d f[3] (f[1] d)*
+""", registry())
+    printed = dsl.print_document(doc)
+    assert "= fin: d[0] d[0] | " in printed and "= inf: (d[0])*" in printed
+    assert dsl.parse(printed).points == doc.points
+
+
 def test_parse_print_parse_is_stable_on_generated_documents():
     rng = random.Random(0)
     for i in range(50):
@@ -388,41 +410,26 @@ map PhiInfinite : G -> H {
 """
 
 
-def _iii_tries(doc_file, capsys):
-    main(["check", "csc", doc_file, "--map", "PhiInfinite",
-          "--format", "json"])
+def _echoed_tries(doc_file, kind, name, capsys):
+    main(["check", kind, doc_file, "--map", name, "--format", "json"])
     records = json.loads(capsys.readouterr().out)["records"]
-    return [r["bounds"]["tries"] for r in records
-            if r["check"] == "csc-item-iii"]
+    return {r["check"]: r["bounds"]["tries"] for r in records
+            if "tries" in r["bounds"]}
 
 
-def test_env_bounds_override(doc_file, monkeypatch, capsys):
+def test_env_bounds_override(doc_file, capsys):
+    # no environment overrides a bound: each checker runs at its own, and
+    # item iii's tries is 16 where the other items take 24
     with open(doc_file, "a", encoding="utf-8") as fh:
         fh.write(PHI_INFINITE)
-    assert _iii_tries(doc_file, capsys) == ["16"]
-    monkeypatch.setenv("ULTRASHIFT_DEFAULT_BOUNDS", "samples=10,tries=6")
-    assert main(["check", "commute", doc_file, "--map", "Phi"]) == 0
-    out = capsys.readouterr().out
-    assert "samples=10" in out
-    # csc item iii takes the environment's tries like the other items
-    assert _iii_tries(doc_file, capsys) == ["6"]
-
-
-@pytest.mark.parametrize("raw", ["tries=abc", "trys=6", "tries",
-                                 "samples=10,depth="])
-@pytest.mark.parametrize("argv", [
-    ["check", "commute", "DOC", "--map", "Phi"],
-    ["converge", "DOC", "--seq", "a.dn_f1", "--target", "target",
-     "--graph", "G"],
-])
-def test_malformed_env_bounds_are_a_usage_error(doc_file, monkeypatch,
-                                                capsys, raw, argv):
-    # a mistyped bound must not leave the verdicts at the default bounds
-    monkeypatch.setenv("ULTRASHIFT_DEFAULT_BOUNDS", raw)
-    assert main([doc_file if a == "DOC" else a for a in argv]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "ULTRASHIFT_DEFAULT_BOUNDS" in captured.err
+    assert _echoed_tries(doc_file, "csc", "Phi", capsys) == \
+        {"csc-item-ii": "24", "csc-item-iii": "16"}
+    assert _echoed_tries(doc_file, "genchl", "Phi", capsys) == \
+        {"genchl-iia": "24", "genchl-iib": "24", "csc-item-iii": "16"}
+    assert _echoed_tries(doc_file, "csc", "PhiInfinite", capsys) == \
+        {"csc-item-iii": "16"}
+    assert _echoed_tries(doc_file, "length-preserving", "Phi", capsys) == \
+        {"length-preserving": "24"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -491,6 +498,67 @@ def test_converge_and_refute_errors_are_error_records(
     assert main(argv) == 1
     out = capsys.readouterr().out
     assert "error" in out and "MapError: image did not resolve" in out
+
+
+def test_eval_error_is_an_error_record(doc_file, capsys, monkeypatch):
+    # the map cannot place a generator point whose leading run of d it
+    # cannot bound
+    argv = ["eval", doc_file, "--map", "Phi", "--point", "gen: a.gen_all_d",
+            "--depth", "20", "--format", "json"]
+    assert main(argv) == 1
+    [record] = json.loads(capsys.readouterr().out)["records"]
+    assert record["status"] == "error"
+    assert record["detail"].startswith("DepthExceeded: run of d[0]")
+    # a map error is still a failure of the evaluation, with the point
+    from ultrashift import cli
+    from ultrashift.codes import MapError
+
+    def raising(*args):
+        raise MapError("image did not resolve")
+
+    monkeypatch.setattr(cli, "eval_map", raising)
+    assert main(argv) == 1
+    [record] = json.loads(capsys.readouterr().out)["records"]
+    assert (record["status"], record["detail"], record["witness"]) == \
+        ("fails", "image did not resolve", "<all d to depth 128>")
+
+
+# a class of e[1] that overlaps the family class, and a tail class that
+# also takes points starting with d
+AUDITED_MAPS = GRAPH_A_WITH_MAP + """
+map Overlap : G -> H {
+  class e[1] {
+    pc 1..1 : d
+    pc 1..1 : f[1]
+  }
+  class e[j] for j in >=1 { pc 1..1 : f[j] }
+  class tail(auto) { pc 1..1 : tail(auto) }
+}
+
+map Shrink : G -> H {
+  class e[j] for j in >=1 { pc 1..1 : f[j] }
+  class tail(auto) {
+    pc 1..1 : tail(auto)
+    pc 1..1 : d
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("kind, name, check", [
+    ("commute", "Overlap", "partition"),
+    ("length-preserving", "Shrink", "length-preserving"),
+])
+def test_check_audit_reproduces_the_witness(tmp_path, capsys, kind, name,
+                                            check):
+    p = tmp_path / "audited.ug"
+    p.write_text(AUDITED_MAPS)
+    assert main(["check", kind, str(p), "--map", name, "--audit",
+                 "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    status = {r["check"]: r["status"] for r in records}
+    assert status[check] == "fails"
+    assert status[f"audit({check})"] == "holds"
 
 
 def test_audit_reports_package_errors_and_lets_other_faults_surface():
