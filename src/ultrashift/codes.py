@@ -44,6 +44,10 @@ from .points import (
 )
 from .verdicts import FAILS, HOLDS, NOT_APPLICABLE, UNKNOWN, Verdict
 
+# edges sampled where a map is known only by sampling (oracle classes,
+# rule maps); items ii, iia, iib and length-preserving echo it as "tries"
+SAMPLE_TRIES = 24
+
 
 class MapError(ValueError):
     pass
@@ -156,8 +160,7 @@ class MapPresentation:
     ``window`` is the last coordinate any body schema reads, so the first
     image symbol of a point depends on its first ``window`` coordinates
     only; it is None when a class is an oracle or a schema repeats an
-    atom.  ``symbol_at`` tries only the classes whose schemas admit the
-    point's first coordinate."""
+    atom.  ``symbol_at`` walks the classes in order."""
 
     def __init__(self, source: Ultragraph, target: Ultragraph, classes,
                  label: str = "map"):
@@ -166,26 +169,15 @@ class MapPresentation:
         self.classes = tuple(classes)
         self.label = label
         self.window = _schema_window(self.classes)
-        self._by_first, self._always = _first_symbol_index(self.classes)
 
     def symbol_at(self, x: Point):
         found = []
-        for c in self._candidates(x):
+        for c in self.classes:
             for sym in c.symbols_for(x):
                 found.append((c, sym))
         if len(found) != 1:
             raise PartitionError(x, [str(c) for c, _ in found])
         return found[0][1]
-
-    def _candidates(self, x: Point) -> tuple:
-        """The classes that can match x, in class order: a superset of the
-        matching ones, so a PartitionError lists the same classes."""
-        try:
-            first = coordinate(x, 1)
-        except PointError:
-            return self.classes  # a generator point too shallow to read
-        key = first.family if isinstance(first, EdgeRef) else MinimalEmitter
-        return self._by_first.get(key, self._always)
 
     def __str__(self) -> str:
         return self.label
@@ -204,43 +196,6 @@ def _schema_window(classes) -> int | None:
             if s.atoms:
                 last = max(last, s.fixed_window()[1])
     return last
-
-
-def _first_symbol_keys(cls) -> set | None:
-    """What the class admits at coordinate 1: the edge family names its
-    schemas anchored there start with (a repetition runs at least once),
-    and ``MinimalEmitter`` for an emitter literal.  None when any first
-    symbol might do: an oracle class, or a schema anchored past 1."""
-    if not isinstance(cls, SchemaClass):
-        return None
-    keys = set()
-    for s in cls.body:
-        if not s.atoms:
-            continue  # the empty pseudo cylinder matches no point
-        if s.anchor != 1:
-            return None
-        atom = s.atoms[0]
-        if isinstance(atom, VarAtom):
-            keys.add(atom.family)
-        elif isinstance(atom.symbol, EdgeRef):  # a literal or a repetition
-            keys.add(atom.symbol.family)
-        elif isinstance(atom.symbol, MinimalEmitter):
-            keys.add(MinimalEmitter)
-        else:
-            return None
-    return keys
-
-
-def _first_symbol_index(classes):
-    """(candidates by first-symbol key, candidates for any other first
-    symbol), each a tuple of classes in class order."""
-    keys = [_first_symbol_keys(c) for c in classes]
-
-    def candidates(key):
-        return tuple(c for c, ks in zip(classes, keys)
-                     if ks is None or key in ks)
-    known = set().union(*(ks for ks in keys if ks is not None))
-    return {k: candidates(k) for k in known}, candidates(None)
 
 
 class RuleMap:
@@ -554,8 +509,8 @@ def _atom_edges(g: Ultragraph, atom, dom: IndexSet | None) -> SymbolicSet:
 
 
 def first_edges_into_class(phi, cls, prefix: tuple,
-                           param_restrict: IndexSet | None = None,
-                           tries: int = 24) -> EdgeConstraint:
+                           param_restrict: IndexSet | None = None
+                           ) -> EdgeConstraint:
     """First-extension edges that can lead into the class after ``prefix``.
 
     Symbolic and mostly exact for schema classes; sampled (and flagged
@@ -564,7 +519,7 @@ def first_edges_into_class(phi, cls, prefix: tuple,
     if isinstance(cls, OracleClass):
         found = []
         eps = g.all_edges()
-        for fam, idx in eps.sample(tries):
+        for fam, idx in eps.sample(SAMPLE_TRIES):
             e = EdgeRef(fam, idx)
             w = _try_point(g, tuple(prefix) + (e,))
             if w is not None and cls.member(w):
@@ -613,7 +568,7 @@ def _bad_symbol_params(cls, good: SymbolSet) -> IndexSet | None:
 
 
 def escaping_edges(phi, prefix: tuple, tail: MinimalEmitter,
-                   good: SymbolSet, tries: int = 24) -> EdgeConstraint:
+                   good: SymbolSet) -> EdgeConstraint:
     """Extension edges after (prefix, tail) whose continuations can map to
     a first symbol outside ``good``.
 
@@ -621,18 +576,19 @@ def escaping_edges(phi, prefix: tuple, tail: MinimalEmitter,
     under-approximated by direct sampling for rule maps."""
     if not phi.classes:
         found = SymbolicSet.empty()
-        for fam, idx in phi.source.epsilon(tail.vertices).sample(tries):
+        for fam, idx in phi.source.epsilon(tail.vertices).sample(
+                SAMPLE_TRIES):
             e = EdgeRef(fam, idx)
             got = _witness_through_edge(phi, prefix, e, good, tries=4)
             if got is not None:
                 found = found.union(SymbolicSet.singleton(fam, idx))
         return EdgeConstraint(found, False, "under")
     return _edges_into_classes(
-        phi, prefix, tail, lambda cls: _bad_symbol_params(cls, good), tries)
+        phi, prefix, tail, lambda cls: _bad_symbol_params(cls, good))
 
 
-def _edges_into_classes(phi, prefix: tuple, tail: MinimalEmitter, params_of,
-                        tries: int) -> EdgeConstraint:
+def _edges_into_classes(phi, prefix: tuple, tail: MinimalEmitter,
+                        params_of) -> EdgeConstraint:
     """Extension edges after (prefix, tail) that can lead into a class for
     which ``params_of(cls)`` is not None; for a family class those are the
     parameter values that count."""
@@ -644,7 +600,7 @@ def _edges_into_classes(phi, prefix: tuple, tail: MinimalEmitter, params_of,
         if params is None:
             continue
         restrict = None if cls.symbol is not None else params
-        got = first_edges_into_class(phi, cls, prefix, restrict, tries=tries)
+        got = first_edges_into_class(phi, cls, prefix, restrict)
         total = total.union(got.edges)
         exact = exact and got.exact
         if got.kind == "under":
@@ -797,7 +753,7 @@ def check_genchl_iia(phi, x_bar: FinitePoint) -> Verdict:
     B = img.tail
     good = SymbolSet(h.epsilon(B.vertices), (B,))
     return _escape_verdict("genchl-iia", phi, x_bar.path, x_bar.tail, good,
-                           {"tries": 24})
+                           {"tries": SAMPLE_TRIES})
 
 
 def _escape_verdict(check: str, phi, prefix: tuple, tail: MinimalEmitter,
@@ -806,7 +762,7 @@ def _escape_verdict(check: str, phi, prefix: tuple, tail: MinimalEmitter,
     finitely many extension edges lead outside ``good`` (the witness is
     that excluded set) and fails when infinitely many do, confirmed by
     concrete escaping points."""
-    bad = escaping_edges(phi, prefix, tail, good, bounds["tries"])
+    bad = escaping_edges(phi, prefix, tail, good)
     if bad.kind == "under":
         if bad.edges.is_empty():
             return Verdict(check, HOLDS,
@@ -860,10 +816,10 @@ def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet) -> Verdict:
     shifted = shift_n(x_bar, l)
     good = SymbolSet(h.epsilon(B.vertices).difference(F), (B,))
     return _escape_verdict("csc-item-ii", phi, shifted.path, x_bar.tail, good,
-                           {"tries": 24, "F": str(F)})
+                           {"tries": SAMPLE_TRIES, "F": str(F)})
 
 
-def compute_A_x(phi, x_bar: FinitePoint, x: Point, tries: int = 24):
+def compute_A_x(phi, x_bar: FinitePoint, x: Point):
     """Extension edges after x_bar's path that can produce the same first
     image symbol as x.  Returns (symbolic edge set, finite flag, exact
     flag)."""
@@ -875,13 +831,14 @@ def compute_A_x(phi, x_bar: FinitePoint, x: Point, tries: int = 24):
         raise MapError("the first image symbol must be an edge")
     if phi.classes:
         got = _edges_into_classes(phi, x_bar.path, x_bar.tail,
-                                  lambda cls: cls.covers_symbol(c), tries)
+                                  lambda cls: cls.covers_symbol(c))
         result, exact = got.edges, got.exact
     else:
         # rule maps: sampled under-approximation
         eps = phi.source.epsilon(x_bar.tail.vertices)
         same = [(e.family, IndexSet.of(e.index)) for e, _, sym in
-                _first_symbols(phi, x_bar.path, eps, tries) if sym == c]
+                _first_symbols(phi, x_bar.path, eps, SAMPLE_TRIES)
+                if sym == c]
         result, exact = SymbolicSet.of(*same), False
     return result, result.is_finite(), exact
 
@@ -890,7 +847,6 @@ def check_genchl_iib(phi, x_bar: FinitePoint) -> Verdict:
     """The extension-edge sets A_x must be finite for every extension whose
     first image symbol is an edge emitted by the image tail."""
     g, h = phi.source, phi.target
-    tries = 24
     img = eval_resolved(phi, x_bar)
     if length(img) != 0:
         return Verdict("genchl-iib", NOT_APPLICABLE, "image not length zero")
@@ -901,15 +857,15 @@ def check_genchl_iib(phi, x_bar: FinitePoint) -> Verdict:
                                   g.epsilon(x_bar.tail.vertices), 6):
         if isinstance(c, MinimalEmitter) or not eps_B.contains(c.family, c.index):
             continue
-        a_x, finite, _exact = compute_A_x(phi, x_bar, w, tries)
+        a_x, finite, _exact = compute_A_x(phi, x_bar, w)
         checked += 1
         if not finite:
             return Verdict("genchl-iib", FAILS,
                            f"A_x infinite for extension {e} (symbol {c})",
-                           (w, a_x), {"tries": tries})
+                           (w, a_x), {"tries": SAMPLE_TRIES})
     return Verdict("genchl-iib", HOLDS,
                    f"finite extension sets at {checked} sampled extensions",
-                   bounds={"sampled": checked, "tries": tries})
+                   bounds={"sampled": checked, "tries": SAMPLE_TRIES})
 
 
 def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4) -> Verdict:
@@ -1070,7 +1026,7 @@ def check_length_preserving(phi, samples) -> Verdict:
     and finite-extension conditions must hold at zero-length points."""
     g = phi.source
     src_emitters, _ = g.minimal_infinite_emitters()
-    bounds = {"samples": len(samples), "tries": 24}
+    bounds = {"samples": len(samples), "tries": SAMPLE_TRIES}
     for m in src_emitters:
         x0 = FinitePoint((), m)
         sym = phi.symbol_at(x0)
@@ -1248,11 +1204,8 @@ def _swerve_strategies(g, x):
             w = _try_point(g, cyc + (e2,))
             if w is None:
                 continue
-            tail = shift_n(w, len(cyc))
-            if isinstance(tail, GeneratorPoint):
-                continue
             out.append((f"swerve to {e2} after whole cycles",
-                        RepeatFamily(cyc, tail)))
+                        RepeatFamily(cyc, shift_n(w, len(cyc)))))
             taken += 1
             if taken >= 2:
                 break
@@ -1274,7 +1227,7 @@ def _swerve_strategies(g, x):
 def _truncate_strategy(g, x):
     def seq(n):
         edges = tuple(coordinate(x, i) for i in range(1, n + 1))
-        tails, _ = g.range_emitters(edges[-1])
+        tails = g.range_emitters(edges[-1])
         if tails:
             return FinitePoint(edges, tails[0])
         return x

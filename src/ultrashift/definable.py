@@ -120,8 +120,20 @@ class PcSchema:
             return "pc-empty"
         end = "*" if self.has_rep() else str(self.anchor + len(self.atoms) - 1)
         body = " ".join(str(a) for a in self.atoms)
-        dom = f" ; j in {self.param_domain}" if self.param_domain is not None else ""
-        return f"pc {self.anchor}..{end} : {body}{dom}"
+        d = self.param_domain
+        if d is None:
+            return f"pc {self.anchor}..{end} : {body}"
+        # the DSL's iset form, so the schema parses back; a domain without
+        # one, such as Z* or the empty set, keeps the set form
+        if len(d.spans) == 1 and d.spans[0] != (None, None):
+            (lo, hi), = d.spans
+            dom = f"<={hi}" if lo is None else f">={lo}" if hi is None \
+                else str(lo) if lo == hi else f"{lo}..{hi}"
+        elif d.spans and d.is_finite():
+            dom = ",".join(str(k) for k in d.members())
+        else:
+            dom = str(d)
+        return f"pc {self.anchor}..{end} : {body} ; k in {dom}"
 
 
 EMPTY_PC = PcSchema(1, ())
@@ -625,7 +637,7 @@ def _window_variants(g: Ultragraph, x: Point, k: int, l: int,
                 yield w, f"continuation changed at position {l + 1}"
             if count >= tries:
                 break
-        tails, _ = g.range_emitters(window_syms[-1])
+        tails = g.range_emitters(window_syms[-1])
         for m in tails:
             yield (FinitePoint(tuple(window_syms), m),
                    f"cut to a finite point after position {l}")

@@ -643,7 +643,7 @@ class _Parser:
             self.expect("|")
             if self.at_name("auto"):
                 self.next()
-                pool = g.range_emitters(edges[-1])[0] if edges else \
+                pool = g.range_emitters(edges[-1]) if edges else \
                     g.minimal_infinite_emitters()[0]
                 if len(pool) != 1:
                     self.fail("auto needs exactly one candidate tail; got "

@@ -573,10 +573,8 @@ class Ultragraph:
 
     @_memoized
     def range_emitters(self, e: EdgeRef):
-        """Minimal infinite emitters contained in r(e): a tuple, and the
-        completeness flag of ``minimal_emitters_in``."""
-        found, complete = self.minimal_emitters_in(self.range_of(e))
-        return tuple(found), complete
+        """The minimal infinite emitters contained in r(e), as a tuple."""
+        return tuple(self.minimal_emitters_in(self.range_of(e))[0])
 
     def __repr__(self) -> str:
         return f"Ultragraph({self.name!r})"

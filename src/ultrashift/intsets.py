@@ -105,9 +105,6 @@ class IndexSet:
         return any((lo is None or lo <= k) and (hi is None or k <= hi)
                    for lo, hi in self.spans)
 
-    def __contains__(self, k: int) -> bool:
-        return self.contains(k)
-
     def min(self) -> int | None:
         """Least member, or None if empty or unbounded below."""
         if not self.spans:
@@ -200,15 +197,6 @@ class IndexSet:
         return IndexSet(
             (None if hi is None else b - hi, None if lo is None else b - lo)
             for lo, hi in self.spans)
-
-    def __or__(self, other: "IndexSet") -> "IndexSet":
-        return self.union(other)
-
-    def __and__(self, other: "IndexSet") -> "IndexSet":
-        return self.intersect(other)
-
-    def __sub__(self, other: "IndexSet") -> "IndexSet":
-        return self.difference(other)
 
     def __str__(self) -> str:
         if not self.spans:
@@ -329,9 +317,6 @@ class SymbolicSet:
     def singleton(family: str, index: int) -> "SymbolicSet":
         return SymbolicSet.of((family, IndexSet.of(index)))
 
-    def families(self) -> list[str]:
-        return [f for f, _ in self.entries]
-
     def part(self, family: str) -> IndexSet:
         for f, s in self.entries:
             if f == family:
@@ -384,15 +369,6 @@ class SymbolicSet:
         for f, s in self.entries:
             out.extend((f, k) for k in s.sample(limit))
         return out[:limit] if len(out) > limit else out
-
-    def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self.union(other)
-
-    def __and__(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self.intersect(other)
-
-    def __sub__(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self.difference(other)
 
     def __str__(self) -> str:
         if not self.entries:

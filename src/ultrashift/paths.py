@@ -141,7 +141,7 @@ def validate_block(g: Ultragraph, b: Block) -> list[str]:
             if isinstance(prev, MinimalEmitter):
                 if prev != sym:
                     problems.append("emitter tails are constant")
-            elif not any(m == sym for m in g.range_emitters(prev)[0]):
+            elif not any(m == sym for m in g.range_emitters(prev)):
                 problems.append(
                     f"{sym} is not a minimal emitter inside r({prev})")
         else:
@@ -172,7 +172,7 @@ def enumerate_blocks(g: Ultragraph, n: int, index_bound: int) -> list[Block]:
                 continue
             for e2 in g.bounded_successors(last, index_bound):
                 grown.append(w + [e2])
-            for m in g.range_emitters(last)[0]:
+            for m in g.range_emitters(last):
                 grown.append(w + [m])
         words = grown
     return [Block(tuple(w)) for w in words]

@@ -121,9 +121,13 @@ def shift(x: Point) -> Point:
     if isinstance(x, FinitePoint):
         return FinitePoint(x.path[1:], x.tail) if x.path else x
     if isinstance(x, PeriodicPoint):
-        if x.preamble:
-            return PeriodicPoint(x.preamble[1:], x.cycle)
-        return PeriodicPoint((), x.cycle[1:] + x.cycle[:1])
+        # the shift of a canonical point is canonical, so __post_init__'s
+        # canonicalization is skipped
+        y = object.__new__(PeriodicPoint)
+        object.__setattr__(y, "preamble", x.preamble[1:])
+        object.__setattr__(y, "cycle", x.cycle if x.preamble
+                           else x.cycle[1:] + x.cycle[:1])
+        return y
     fn = x.fn
     return GeneratorPoint(lambda i: fn(i + 1), x.depth - 1,
                           f"shift of {x.label}")
@@ -170,7 +174,7 @@ def validate_point(g: Ultragraph, x: Point) -> list[str]:
             problems.append("finite points need a tail emitter")
             return problems
         pool = emitters if not x.path else \
-            g.range_emitters(x.path[-1])[0]
+            g.range_emitters(x.path[-1])
         if not any(m == x.tail for m in pool):
             if complete:
                 problems.append(f"{x.tail} is not a legal tail here")
@@ -487,7 +491,7 @@ def block_witness(g: Ultragraph, block,
             i = seen[last]
             return PeriodicPoint(tuple(path[:i]), tuple(path[i:-1]))
         seen[last] = len(path) - 1
-        tails, _ = g.range_emitters(last)
+        tails = g.range_emitters(last)
         cands = g.successor_sample(last, index_bound)
         if not cands:
             if tails:

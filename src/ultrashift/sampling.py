@@ -65,7 +65,7 @@ def random_finite_point(g: Ultragraph, rng: random.Random,
         return FinitePoint((), rng.choice(emitters))
     for _ in range(6):
         walk = random_walk(g, rng, rng.randint(1, 5), bound)
-        tails, _ = g.range_emitters(walk[-1])
+        tails = g.range_emitters(walk[-1])
         if tails:
             return FinitePoint(tuple(walk), rng.choice(tails))
     return FinitePoint((), rng.choice(emitters))
@@ -105,7 +105,7 @@ def random_cylinder(g: Ultragraph, rng: random.Random,
         walk = random_walk(g, rng, base_len)
         rng_last = g.range_of(walk[-1])
         choices = [rng_last]
-        choices += [m.vertices for m in g.range_emitters(walk[-1])[0]]
+        choices += [m.vertices for m in g.range_emitters(walk[-1])]
         first = rng_last.sample(1)
         if first:
             choices.append(SymbolicSet.of((first[0][0],

@@ -9,15 +9,24 @@ import ultrashift
 PACKAGE = pathlib.Path(ultrashift.__file__).parent
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_defs_and_uses():
-    defs, uses = [], []
+    """(private top-level helpers, private methods of top-level classes,
+    every name read) in the package."""
+    defs, methods, uses = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    node.name.startswith("_") and \
-                    not node.name.startswith("__"):
+                    _is_private(node.name):
                 defs.append((path.name, node))
+            if isinstance(node, ast.ClassDef):
+                methods += [(path.name, m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and
+                            _is_private(m.name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.append((path.name, node.lineno, node.id))
@@ -26,21 +35,31 @@ def _private_defs_and_uses():
             elif isinstance(node, ast.ImportFrom):
                 uses.extend((path.name, node.lineno, a.name)
                             for a in node.names)
-    return defs, uses
+    return defs, methods, uses
 
 
-def test_every_private_top_level_helper_is_referenced():
-    defs, uses = _private_defs_and_uses()
-    assert defs, "no private helpers found; is the package path right?"
+def _unreferenced(defs, uses) -> list:
     dead = []
     for module, node in defs:
-        # a reference from inside the helper's own body does not count
+        # a reference from inside the definition's own body does not count
         used = any(name == node.name and not (
             module == mod and node.lineno <= line <= node.end_lineno)
             for mod, line, name in uses)
         if not used:
             dead.append(f"{module}:{node.lineno} {node.name}")
-    assert dead == []
+    return dead
+
+
+def test_every_private_top_level_helper_is_referenced():
+    defs, _, uses = _private_defs_and_uses()
+    assert defs, "no private helpers found; is the package path right?"
+    assert _unreferenced(defs, uses) == []
+
+
+def test_every_private_method_is_referenced():
+    _, methods, uses = _private_defs_and_uses()
+    assert methods, "no private methods found; is the package path right?"
+    assert _unreferenced(methods, uses) == []
 
 
 def _parameters(node):

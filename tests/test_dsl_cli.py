@@ -17,7 +17,8 @@ from ultrashift.corpus import (
     graph_d_target,
     registry,
 )
-from ultrashift.intsets import IndexSet
+from ultrashift.definable import LitAtom, PcSchema, VarAtom
+from ultrashift.intsets import AffineIndexMap, IndexSet
 from ultrashift.points import FinitePoint, PeriodicPoint
 
 GRAPH_D = """
@@ -213,6 +214,26 @@ map Forms : G -> H {
     interval, listed = doc.maps["Forms"].classes
     assert interval.index_domain == IndexSet.between(2, 5)
     assert listed.body[0].param_domain == IndexSet.of(1, 6)
+
+
+def test_printed_schemas_parse_back():
+    # one schema for each of the DSL's domain forms: >=a, <=a, a..b, a,b,c
+    schemas = [
+        PcSchema(1, (LitAtom(d()), VarAtom("f", AffineIndexMap(1, 1))),
+                 IndexSet.at_least(3)),
+        PcSchema(1, (VarAtom("f", AffineIndexMap(-1, 0)),),
+                 IndexSet.at_most(-2)),
+        PcSchema(1, (VarAtom("f"),), IndexSet.between(2, 5)),
+        PcSchema(2, (VarAtom("f"), LitAtom(d())), IndexSet.of(1, 6, 7)),
+    ]
+    classes = "".join(f"  class e[{i}] {{ {s} }}\n"
+                      for i, s in enumerate(schemas, 1))
+    doc = dsl.parse(GRAPH_A_WITH_MAP + f"""
+map Printed : G -> H {{
+{classes}}}
+""", registry())
+    assert [c.body for c in doc.maps["Printed"].classes] == \
+        [(s,) for s in schemas]
 
 
 def test_finite_and_periodic_points_print_and_parse_back():

@@ -305,6 +305,27 @@ def test_periodic_canonicalization():
         (), (f(1), d()))
 
 
+def test_shifted_periodic_points_are_canonical():
+    # shift skips the constructor's canonicalization; rebuilding through
+    # the constructor must change nothing
+    rng = random.Random(9)
+    points = [x for g in (GA, GD, HD)
+              for x in sampling.point_pool(g, rng, 40)
+              if isinstance(x, PeriodicPoint)]
+    tail = PeriodicPoint((), (f(1),))
+    points += [RepeatFamily(block, tail).at(n)
+               for block in [(d(),), (d(), f(1)), (f(1), d(), d())]
+               for n in range(4)]
+    checked = 0
+    for x in points:
+        for _ in range(len(x.preamble) + 2 * len(x.cycle) + 1):
+            x = shift(x)
+            rebuilt = PeriodicPoint(x.preamble, x.cycle)
+            assert x == rebuilt and hash(x) == hash(rebuilt)
+            checked += 1
+    assert checked > 100
+
+
 # -- cylinders ----------------------------------------------------------------
 
 
