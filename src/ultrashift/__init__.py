@@ -30,9 +30,7 @@ from .paths import Block, PathError, Ultrapath, enumerate_blocks
 from .points import (
     ConvergenceBounds,
     Cylinder,
-    DepthExceeded,
     FinitePoint,
-    GeneratorPoint,
     PeriodicPoint,
     PointError,
     RepeatFamily,
@@ -43,7 +41,6 @@ from .points import (
     is_prefix,
     length,
     neighborhood_basis,
-    points_equal,
     shift,
     shift_cylinder,
     shift_n,

@@ -25,6 +25,7 @@ from .codes import (
     check_genchl_iib,
     check_length_preserving,
     eval_map,
+    eval_resolved,
     validate_partition,
 )
 from .definable import (AuditError, SetOracle, audit_refutation,
@@ -36,6 +37,7 @@ from .points import (
     PointError,
     RepeatFamily,
     check_convergence,
+    coordinate,
     length,
     shift,
 )
@@ -113,10 +115,10 @@ def _map_from(doc, name: str):
     return doc.maps[name]
 
 
-def _point_from(doc, reg, g, text: str):
+def _point_from(doc, g, text: str):
     if text in doc.points:
         return doc.points[text][1]
-    return dsl.parse_point_literal(g, text, reg)
+    return dsl.parse_point_literal(g, text)
 
 
 def cmd_validate(args) -> Report:
@@ -176,16 +178,14 @@ def cmd_blocks(args) -> Report:
 
 
 def cmd_eval(args) -> Report:
-    doc, reg = _load(args.file)
+    doc, _ = _load(args.file)
     phi = _map_from(doc, args.map)
-    x = _point_from(doc, reg, phi.source, args.point)
+    x = _point_from(doc, phi.source, args.point)
     report = Report("eval")
     try:
-        res = eval_map(phi, x, args.depth)
+        res = eval_map(phi, x)
         prefix = " ".join(str(s) for s in res.prefix[:args.depth])
-        detail = f"prefix: {prefix}"
-        if res.resolved is not None:
-            detail += f" | resolved: {res.resolved}"
+        detail = f"prefix: {prefix} | resolved: {res.resolved}"
         report.add(Verdict("eval", HOLDS, detail,
                            bounds={"depth": args.depth}))
     except MapError as err:
@@ -207,7 +207,7 @@ def _check_verdicts(kind: str, phi, samples):
     elif kind in ("csc", "genchl"):
         yield check_csc_item_i(phi)
         for x0 in sampling.zero_points(phi.source):
-            img = eval_map(phi, x0, 8).prefix[0]
+            img = eval_map(phi, x0).prefix[0]
             if isinstance(img, MinimalEmitter):
                 if kind == "csc":
                     yield check_csc_item_ii(phi, x0, SymbolicSet.empty())
@@ -259,9 +259,9 @@ def _audit(phi, v: Verdict) -> Verdict:
                            "witness re-checked" if ok else "mismatch")
         if v.check == "commuting":
             x, i = v.witness
-            lhs = eval_map(phi, shift(x))
-            rhs = eval_map(phi, x)
-            ok = lhs.coordinate(i) != rhs.coordinate(i + 1)
+            lhs = eval_resolved(phi, shift(x))
+            rhs = eval_resolved(phi, x)
+            ok = coordinate(lhs, i) != coordinate(rhs, i + 1)
             return Verdict(name, HOLDS if ok else FAILS,
                            "violation reproduced" if ok else "mismatch")
         return Verdict(name, UNKNOWN, "no audit hook for this check")
@@ -275,7 +275,7 @@ def cmd_refute_fd(args) -> Report:
         raise SystemExit(f"error: no registered oracle named {args.oracle!r}")
     oracle = reg[args.oracle]
     g = _graph_from(doc, args.graph)
-    x = _point_from(doc, reg, g, args.point)
+    x = _point_from(doc, g, args.point)
     report = Report("refute-fd")
     check = f"refute-fd({args.oracle})"
     try:
@@ -305,7 +305,7 @@ def cmd_converge(args) -> Report:
         raise SystemExit(f"error: no registered sequence named {args.seq!r}")
     seq = reg[args.seq]
     g = _graph_from(doc, args.graph)
-    target = _point_from(doc, reg, g, args.target)
+    target = _point_from(doc, g, args.target)
     report = Report("converge")
     try:
         verdict = check_convergence(g, seq, target)
@@ -324,7 +324,22 @@ def cmd_fixture(args) -> Report:
     return report
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    positive, natural = _int_at_least(1), _int_at_least(0)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--audit", action="store_true",
@@ -352,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate language blocks")
     p.add_argument("file")
     p.add_argument("--graph")
-    p.add_argument("-n", "--length", type=int, required=True)
-    p.add_argument("--index-bound", type=int, default=4)
+    p.add_argument("-n", "--length", type=positive, required=True)
+    p.add_argument("--index-bound", type=natural, default=4)
     p.set_defaults(fn=cmd_blocks)
 
     p = sub.add_parser("eval", parents=[common],
@@ -361,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=positive, default=12,
+                   help="symbols of the image's prefix to print")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check", parents=[common],
@@ -379,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--graph")
-    p.add_argument("--max-window", type=int, default=6)
+    p.add_argument("--max-window", type=positive, default=6)
     p.set_defaults(fn=cmd_refute_fd)
 
     p = sub.add_parser("converge", parents=[common],

@@ -29,7 +29,6 @@ from .paths import Block
 from .points import (
     PointError,
     FinitePoint,
-    GeneratorPoint,
     PeriodicPoint,
     Point,
     RepeatFamily,
@@ -244,48 +243,31 @@ def _problems(g: Ultragraph, x: Point) -> list:
 @dataclass
 class EvalResult:
     prefix: tuple
-    resolved: Point | None
-    note: str = ""
-
-    def coordinate(self, n: int):
-        if self.resolved is not None:
-            return coordinate(self.resolved, n)
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        raise MapError(f"output only known to depth {len(self.prefix)}: "
-                       f"{self.note}")
+    resolved: Point
 
 
-def _orbit_closure(x: Point) -> tuple[int, int] | None:
+def _orbit_closure(x: Point) -> tuple[int, int]:
     """Steps (m, m + p) at which the shift orbit of x first repeats: the
     point reached after m + p shifts is the one reached after m.  Canonical
     forms fix both numbers, so no point is compared: a finite point of path
     length L reaches its fixed point after L shifts, and a periodic point
     with minimal preamble m and primitive cycle p has pairwise distinct
-    shifts before m + p.  None for generator points."""
+    shifts before m + p."""
     if isinstance(x, FinitePoint):
         return len(x.path), len(x.path) + 1
-    if isinstance(x, PeriodicPoint):
-        return len(x.preamble), len(x.preamble) + len(x.cycle)
-    return None
+    return len(x.preamble), len(x.preamble) + len(x.cycle)
 
 
-def eval_map(phi, x: Point, depth: int | None = None) -> EvalResult:
+def eval_map(phi, x: Point) -> EvalResult:
     """Apply the map along the shift orbit of x.
 
-    Finite and eventually periodic inputs resolve exactly: their orbits
-    reach a fixed point or close a cycle, so the output is a finite point
-    (when an emitter symbol appears, which must then persist) or an
-    eventually periodic point.  ``depth`` bounds generator inputs only
-    (default 48), which yield a depth-bounded prefix."""
-    closes = _orbit_closure(x)
-    if closes is not None:
-        steps = closes[1]
-    else:
-        steps = 48 if depth is None else depth
-    # a probe's memo of resolved images (finite and periodic points only)
-    memo = phi if closes is not None and isinstance(phi, _ProbeMemo) \
-        else None
+    Every point is finite or eventually periodic, so its orbit reaches a
+    fixed point or closes a cycle, and the image resolves exactly: a finite
+    point (when an emitter symbol appears, which must then persist) or an
+    eventually periodic point."""
+    m, steps = _orbit_closure(x)
+    # a probe's memo of resolved images
+    memo = phi if isinstance(phi, _ProbeMemo) else None
     syms: list = []
     cur = x
     emitter_at: int | None = None
@@ -311,8 +293,7 @@ def eval_map(phi, x: Point, depth: int | None = None) -> EvalResult:
         # once the orbit closes at (m, m + p), checking the computed symbols
         # checks all; the cycle's symbols from m on come back after the
         # emitter, so they must be the tail as well
-        start = emitter_at if closes is None else min(emitter_at, closes[0])
-        if any(syms[j] != tail for j in range(start, len(syms))):
+        if any(syms[j] != tail for j in range(min(emitter_at, m), len(syms))):
             raise MapError(
                 f"emitter symbol {tail} at coordinate {emitter_at + 1} does "
                 f"not persist: the class is not shift invariant on {x}")
@@ -321,17 +302,10 @@ def eval_map(phi, x: Point, depth: int | None = None) -> EvalResult:
         if length(x) != INFINITE and length(x) < emitter_at:
             raise MapError("image is longer than a finite input whose tail "
                            "maps to a length-zero point")
-        note = "resolved finite" if closes is not None else \
-            f"resolved finite (persistence checked to depth {len(syms)})"
-        res = EvalResult(tuple(syms), out, note)
-    elif closes is not None:
-        m, p = closes[0], closes[1] - closes[0]
-        out = PeriodicPoint(tuple(syms[:m]), tuple(syms[m:m + p]))
-        _check_output(phi.target, out)
-        res = EvalResult(tuple(syms), out, "resolved periodic")
     else:
-        return EvalResult(tuple(syms), None,
-                          f"generator input evaluated to depth {len(syms)}")
+        out = PeriodicPoint(tuple(syms[:m]), tuple(syms[m:steps]))
+        _check_output(phi.target, out)
+    res = EvalResult(tuple(syms), out)
     if memo is not None:
         memo.images[memo.key(x)] = res
     return res
@@ -344,11 +318,8 @@ def _check_output(h: Ultragraph, out: Point) -> None:
                        + "; ".join(problems))
 
 
-def eval_resolved(phi, x: Point, depth: int | None = None) -> Point:
-    res = eval_map(phi, x, depth)
-    if res.resolved is None:
-        raise MapError(f"image of {x} did not resolve: {res.note}")
-    return res.resolved
+def eval_resolved(phi, x: Point) -> Point:
+    return eval_map(phi, x).resolved
 
 
 # -- partition validation -------------------------------------------------------
@@ -392,17 +363,11 @@ def check_commuting(phi, samples, depth: int = 16) -> Verdict:
     construction, so for them this is a self-test."""
     bounds = {"samples": len(samples), "depth": depth}
     raw = callable(phi) and not hasattr(phi, "symbol_at")
+    image = phi if raw else functools.partial(eval_resolved, phi)
     for x in samples:
-        if raw:
-            lhs_at = lambda i: coordinate(phi(shift(x)), i)  # noqa: E731
-            rhs_at = lambda i: coordinate(phi(x), i + 1)  # noqa: E731
-        else:
-            img_s = eval_map(phi, shift(x), depth + 2)
-            img = eval_map(phi, x, depth + 2)
-            lhs_at, rhs_at = img_s.coordinate, (
-                lambda i, _img=img: _img.coordinate(i + 1))
+        lhs, rhs = image(shift(x)), image(x)
         for i in range(1, depth + 1):
-            if lhs_at(i) != rhs_at(i):
+            if coordinate(lhs, i) != coordinate(rhs, i + 1):
                 return Verdict(
                     "commuting", FAILS,
                     f"coordinate {i} of the image of the shift differs "
@@ -413,9 +378,6 @@ def check_commuting(phi, samples, depth: int = 16) -> Verdict:
 
 def check_period_preservation(phi, x: Point) -> Verdict:
     """A point with shift period p maps to a point with period p."""
-    if isinstance(x, GeneratorPoint):
-        return Verdict("period-preservation", UNKNOWN,
-                       "generator periodicity cannot be resolved", x)
     if isinstance(x, PeriodicPoint):
         if x.preamble:
             raise MapError("period preservation needs an exactly periodic point")
@@ -874,8 +836,7 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4) -> Verdict:
     shifts."""
     g = phi.source
     x0 = FinitePoint((), A)
-    img = eval_map(phi, x0, 8)
-    d_sym = img.prefix[0]
+    d_sym = eval_map(phi, x0).prefix[0]
     tries = 16
     bounds = {"M": M, "tries": tries}
     if isinstance(d_sym, MinimalEmitter):
@@ -1074,13 +1035,13 @@ def check_length_preserving(phi, samples) -> Verdict:
 @dataclass
 class ProbeBounds:
     n_max: int = 16
+    # bounds nothing; goes once bench/wl_gsbc.py stops passing it
     depth: int = 24
     conv: ConvergenceBounds = field(default_factory=ConvergenceBounds)
 
     def as_dict(self):
         # index_bound: the bound _try_point builds approach points with
-        return {"n_max": self.n_max, "depth": self.depth,
-                "index_bound": 8, **self.conv.as_dict()}
+        return {"n_max": self.n_max, "index_bound": 8, **self.conv.as_dict()}
 
 
 def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
@@ -1096,14 +1057,12 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     # every evaluation of this probe reads one memo, dropped on return
     phi = _ProbeMemo(phi)
     try:
-        target = eval_resolved(phi, x, bounds.depth)
+        target = eval_resolved(phi, x)
     except MapError as err:
         return Verdict("probe-continuity", UNKNOWN, str(err), x)
     worst = HOLDS
     notes = []
     strategies = _approach_strategies(g, x, bounds)
-    # orbits grow with the sequence index, so give evaluation headroom
-    eval_depth = bounds.depth + 2 * bounds.conv.n_max + 8
     for label, seq in strategies:
         repeat = isinstance(seq, RepeatFamily)
         term = functools.cache(seq.at if repeat else seq)
@@ -1113,7 +1072,7 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
             continue  # the strategy did not produce a convergent sequence
 
         def images(n, term=term):
-            return eval_resolved(phi, term(n), eval_depth)
+            return eval_resolved(phi, term(n))
 
         outward = check_convergence(phi.target, images, target, bounds.conv)
         if outward.status == FAILS:
@@ -1123,8 +1082,7 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
                 f"strategy '{label}': inputs converge to {x} but images "
                 f"do not converge to {target} ({outward.detail})",
                 {"strategy": label, "terms": terms,
-                 "images": [eval_resolved(phi, t, bounds.depth)
-                            for t in terms],
+                 "images": [eval_resolved(phi, t) for t in terms],
                  "target": target, "stuck": outward.witness},
                 bounds.as_dict())
         if outward.status == UNKNOWN:
@@ -1143,14 +1101,13 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
 
 class _ProbeMemo:
     """A map whose first-coordinate symbols and resolved images are
-    memoized at finite and periodic points, for one probe.  The orbits of
+    memoized for one probe.  The orbits of
     one probe's approach terms overlap (the shifts of block^n + tail include
     block^(n-1) + tail), so their evaluations share most symbols, and
     ``eval_map`` splices a stored image onto the symbols before it.  When
     the map has a window, symbols are keyed by the point's coordinates in
     it, which all points that agree there share; images stay keyed by the
-    whole point.  Generator points are not memoized, and neither are
-    failed images."""
+    whole point.  Failed images are not memoized."""
 
     def __init__(self, phi):
         self.phi = phi
@@ -1167,8 +1124,6 @@ class _ProbeMemo:
             (x, getattr(x.tail, "name", None))
 
     def symbol_at(self, x: Point):
-        if isinstance(x, GeneratorPoint):
-            return self.phi.symbol_at(x)
         if self.window is None:
             key = self.key(x)
         else:

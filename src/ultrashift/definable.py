@@ -123,16 +123,12 @@ class PcSchema:
         d = self.param_domain
         if d is None:
             return f"pc {self.anchor}..{end} : {body}"
-        # the DSL's iset form, so the schema parses back; a domain without
-        # one, such as Z* or the empty set, keeps the set form
-        if len(d.spans) == 1 and d.spans[0] != (None, None):
-            (lo, hi), = d.spans
-            dom = f"<={hi}" if lo is None else f">={lo}" if hi is None \
-                else str(lo) if lo == hi else f"{lo}..{hi}"
-        elif d.spans and d.is_finite():
-            dom = ",".join(str(k) for k in d.members())
-        else:
-            dom = str(d)
+        # the DSL's iset form, one item per span, so the schema parses
+        # back; the empty domain has none and keeps the set form
+        dom = ",".join(
+            "Z" if lo is None and hi is None else f"<={hi}" if lo is None
+            else f">={lo}" if hi is None else str(lo) if lo == hi
+            else f"{lo}..{hi}" for lo, hi in d.spans) or str(d)
         return f"pc {self.anchor}..{end} : {body} ; k in {dom}"
 
 
@@ -325,13 +321,7 @@ def sample_points(g: Ultragraph, bounds: FdBounds) -> list[Point]:
         pool.append(sampling.random_point(g, rng, bounds.index_bound))
         if len(pool) > 4 * bounds.samples:
             break
-    seen, uniq = set(), []
-    for p in pool:
-        key = p if not hasattr(p, "fn") else id(p)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(p)
-    return uniq
+    return list(dict.fromkeys(pool))
 
 
 def validate_fd_presentation(g: Ultragraph, P: FdPresentation,

@@ -43,7 +43,7 @@ from .graphs import (
     Ultragraph,
 )
 from .intsets import AffineIndexMap, IndexSet, SymbolicSet
-from .points import FinitePoint, GeneratorPoint, PeriodicPoint
+from .points import FinitePoint, PeriodicPoint
 
 
 class ParseError(ValueError):
@@ -509,22 +509,28 @@ class _Parser:
                   "run the emitters command to list them")
 
     def iset(self) -> IndexSet:
+        """N, Z, Z* or [a..b] as an index domain, or comma-separated spans,
+        each ``a``, ``a..b``, ``>=a`` or ``<=a``."""
         t = self.peek()
-        if t.kind == ">=":
-            self.next()
-            return IndexSet.at_least(self.int_value())
-        if t.kind == "<=":
-            self.next()
-            return IndexSet.at_most(self.int_value())
-        first = self.int_value()
-        if self.peek().kind == "..":
-            self.next()
-            return IndexSet.between(first, self.int_value())
-        points = [first]
+        if t.kind == "[" or (t.kind == "name" and t.value in ("N", "Z")):
+            return self.domain()
+        spans = [self.span()]
         while self.peek().kind == ",":
             self.next()
-            points.append(self.int_value())
-        return IndexSet.of(*points)
+            spans.append(self.span())
+        return IndexSet(spans)
+
+    def span(self) -> tuple:
+        t = self.peek()
+        if t.kind in (">=", "<="):
+            self.next()
+            a = self.int_value()
+            return (a, None) if t.kind == ">=" else (None, a)
+        lo = self.int_value()
+        if self.peek().kind == "..":
+            self.next()
+            return lo, self.int_value()
+        return lo, lo
 
     def schema(self, g: Ultragraph, class_var: str | None,
                class_domain: IndexSet | None) -> PcSchema:
@@ -634,9 +640,12 @@ class _Parser:
         self.doc.points[name] = (gname, pt)
 
     def point_literal(self, g: Ultragraph):
-        kind = self.expect("name", "fin, inf or gen").value
+        t = self.expect("name", "fin or inf")
+        if t.value not in ("fin", "inf"):
+            raise ParseError("point literals start with fin: or inf:",
+                             t.line, t.col)
         self.expect(":")
-        if kind == "fin":
+        if t.value == "fin":
             edges = []
             while self.peek().kind != "|":
                 edges.append(self.edge_ref(g))
@@ -651,31 +660,20 @@ class _Parser:
                 tail = pool[0]
             else:
                 tail = self.tail_symbol(g)
-            pt = FinitePoint(tuple(edges), tail)
-        elif kind == "inf":
-            pre = []
-            while self.peek().kind != "(":
-                pre.append(self.edge_ref(g))
-            self.expect("(")
-            cyc = []
-            while self.peek().kind != ")":
-                cyc.append(self.edge_ref(g))
-            self.expect(")")
-            self.expect("*")
-            if not cyc:
-                self.fail("the cycle of an eventually periodic point is "
-                          "nonempty")
-            pt = PeriodicPoint(tuple(pre), tuple(cyc))
-        elif kind == "gen":
-            gen_name = self.expect("name").value
-            if gen_name not in self.registry:
-                self.fail(f"generator {gen_name!r} is not registered")
-            pt = self.registry[gen_name]
-            if not isinstance(pt, GeneratorPoint):
-                self.fail(f"{gen_name!r} is not a generator point")
-        else:
-            self.fail("point literals start with fin:, inf: or gen:")
-        return pt
+            return FinitePoint(tuple(edges), tail)
+        pre = []
+        while self.peek().kind != "(":
+            pre.append(self.edge_ref(g))
+        self.expect("(")
+        cyc = []
+        while self.peek().kind != ")":
+            cyc.append(self.edge_ref(g))
+        self.expect(")")
+        self.expect("*")
+        if not cyc:
+            self.fail("the cycle of an eventually periodic point is "
+                      "nonempty")
+        return PeriodicPoint(tuple(pre), tuple(cyc))
 
     def edge_ref(self, g: Ultragraph) -> EdgeRef:
         t = self.expect("name", "an edge family")
@@ -700,10 +698,9 @@ def parse(text: str, registry: dict | None = None) -> Document:
     return _Parser(_lex(text), registry).document()
 
 
-def parse_point_literal(g: Ultragraph, text: str,
-                        registry: dict | None = None):
-    """A bare point literal (fin:/inf:/gen:) against a known graph."""
-    p = _Parser(_lex(text), registry)
+def parse_point_literal(g: Ultragraph, text: str):
+    """A bare point literal (fin: or inf:) against a known graph."""
+    p = _Parser(_lex(text), None)
     pt = p.point_literal(g)
     p.expect("eof", "nothing may follow a point literal")
     return pt
@@ -793,9 +790,7 @@ def _print_point(pt) -> str:
         edges = " ".join(str(e) for e in pt.path)
         sep = " " if edges else ""
         return f"fin: {edges}{sep}| {_print_vset(pt.tail.vertices, (), {})}"
-    if isinstance(pt, PeriodicPoint):
-        pre = " ".join(str(e) for e in pt.preamble)
-        cyc = " ".join(str(e) for e in pt.cycle)
-        sep = " " if pre else ""
-        return f"inf: {pre}{sep}({cyc})*"
-    return f"gen: {pt.label}"
+    pre = " ".join(str(e) for e in pt.preamble)
+    cyc = " ".join(str(e) for e in pt.cycle)
+    sep = " " if pre else ""
+    return f"inf: {pre}{sep}({cyc})*"

@@ -1,11 +1,8 @@
 """Points of an ultragraph shift space, the shift map, and its topology.
 
 A point is either finite (an edge path followed by a constant minimal
-infinite emitter tail, including bare zero-length tails) or infinite.
-Infinite points come in two presentations: eventually periodic, which is
-canonical and supports exact equality, and generator-backed, which is only
-inspectable up to a declared depth.  Verdicts touching a generator point
-are therefore always depth-qualified.
+infinite emitter tail, including bare zero-length tails) or eventually
+periodic.  Both forms are canonical, so equality between points is exact.
 
 The topology is generated by the cylinders ``D(y, F)``: points extending
 the ultrapath ``y`` whose next symbol avoids the finite edge set ``F``.
@@ -14,7 +11,6 @@ the ultrapath ``y`` whose next symbol avoids the finite edge set ``F``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .graphs import EdgeRef, MinimalEmitter, Ultragraph
 from .intsets import INFINITE, IndexSet, SymbolicSet
@@ -24,10 +20,6 @@ from .verdicts import FAILS, HOLDS, UNKNOWN, Verdict
 
 class PointError(ValueError):
     pass
-
-
-class DepthExceeded(PointError):
-    """A generator point was asked beyond its declared depth."""
 
 
 @dataclass(frozen=True)
@@ -76,22 +68,7 @@ class PeriodicPoint:
         return f"({pre}{sep}({cyc})* ...)"
 
 
-class GeneratorPoint:
-    """An infinite point given by a coordinate function, valid up to a
-    declared depth.  The function must be pure; identity is the only
-    notion of equality."""
-
-    def __init__(self, fn: Callable[[int], EdgeRef], depth: int,
-                 label: str = "generator"):
-        self.fn = fn
-        self.depth = depth
-        self.label = label
-
-    def __str__(self) -> str:
-        return f"<{self.label} to depth {self.depth}>"
-
-
-Point = FinitePoint | PeriodicPoint | GeneratorPoint
+Point = FinitePoint | PeriodicPoint
 
 
 def length(x: Point):
@@ -106,59 +83,29 @@ def coordinate(x: Point, n: int):
         raise PointError("coordinates are 1-based")
     if isinstance(x, FinitePoint):
         return x.path[n - 1] if n <= len(x.path) else x.tail
-    if isinstance(x, PeriodicPoint):
-        m = len(x.preamble)
-        if n <= m:
-            return x.preamble[n - 1]
-        return x.cycle[(n - m - 1) % len(x.cycle)]
-    if n > x.depth:
-        raise DepthExceeded(f"{x} queried at {n}")
-    return x.fn(n)
+    m = len(x.preamble)
+    if n <= m:
+        return x.preamble[n - 1]
+    return x.cycle[(n - m - 1) % len(x.cycle)]
 
 
 def shift(x: Point) -> Point:
     """Drop the first coordinate; zero-length points are fixed."""
     if isinstance(x, FinitePoint):
         return FinitePoint(x.path[1:], x.tail) if x.path else x
-    if isinstance(x, PeriodicPoint):
-        # the shift of a canonical point is canonical, so __post_init__'s
-        # canonicalization is skipped
-        y = object.__new__(PeriodicPoint)
-        object.__setattr__(y, "preamble", x.preamble[1:])
-        object.__setattr__(y, "cycle", x.cycle if x.preamble
-                           else x.cycle[1:] + x.cycle[:1])
-        return y
-    fn = x.fn
-    return GeneratorPoint(lambda i: fn(i + 1), x.depth - 1,
-                          f"shift of {x.label}")
+    # the shift of a canonical point is canonical, so __post_init__'s
+    # canonicalization is skipped
+    y = object.__new__(PeriodicPoint)
+    object.__setattr__(y, "preamble", x.preamble[1:])
+    object.__setattr__(y, "cycle", x.cycle if x.preamble
+                       else x.cycle[1:] + x.cycle[:1])
+    return y
 
 
 def shift_n(x: Point, n: int) -> Point:
     for _ in range(n):
         x = shift(x)
     return x
-
-
-def agree_to(x: Point, y: Point, depth: int) -> bool:
-    """Coordinatewise agreement up to ``depth`` (lengths must allow it)."""
-    for i in range(1, depth + 1):
-        if coordinate(x, i) != coordinate(y, i):
-            return False
-    return True
-
-
-def points_equal(x: Point, y: Point, depth: int = 64) -> bool:
-    """Exact for finite and eventually periodic points; depth-bounded when
-    a generator is involved."""
-    if isinstance(x, GeneratorPoint) or isinstance(y, GeneratorPoint):
-        if x is y:
-            return True
-        if length(x) != length(y):
-            return False
-        d = min(depth, *(p.depth for p in (x, y)
-                         if isinstance(p, GeneratorPoint)))
-        return agree_to(x, y, d)
-    return x == y
 
 
 def validate_point(g: Ultragraph, x: Point) -> list[str]:
@@ -181,17 +128,10 @@ def validate_point(g: Ultragraph, x: Point) -> list[str]:
             else:
                 problems.append(f"unknown: cannot certify tail {x.tail}")
         return problems
-    if isinstance(x, PeriodicPoint):
-        seq = list(x.preamble) + list(x.cycle)
-        wrapped = seq + [x.cycle[0]]
-        for prev, nxt in zip(wrapped, wrapped[1:]):
-            if not edges_adjacent(g, prev, nxt):
-                problems.append(f"{prev} does not connect to {nxt}")
-        return problems
-    for i in range(1, x.depth):
-        if not edges_adjacent(g, x.fn(i), x.fn(i + 1)):
-            problems.append(f"adjacency fails at {i}")
-    problems.append(f"unknown: generator checked to depth {x.depth} only")
+    wrapped = list(x.preamble) + list(x.cycle) + [x.cycle[0]]
+    for prev, nxt in zip(wrapped, wrapped[1:]):
+        if not edges_adjacent(g, prev, nxt):
+            problems.append(f"{prev} does not connect to {nxt}")
     return problems
 
 
@@ -214,13 +154,7 @@ def concat(g: Ultragraph, x: Ultrapath, y: Point) -> Point:
         return y
     if isinstance(y, FinitePoint):
         return FinitePoint(x.edges + y.path, y.tail)
-    if isinstance(y, PeriodicPoint):
-        return PeriodicPoint(x.edges + y.preamble, y.cycle)
-    fn, k = y.fn, len(x.edges)
-    pre = x.edges
-    return GeneratorPoint(
-        lambda i: pre[i - 1] if i <= k else fn(i - k),
-        y.depth + k, f"{'.'.join(str(e) for e in pre)}+{y.label}")
+    return PeriodicPoint(x.edges + y.preamble, y.cycle)
 
 
 def is_prefix(g: Ultragraph, y: Ultrapath, x):
@@ -346,9 +280,7 @@ class RepeatFamily:
         pre = self.block * n
         if isinstance(self.tail, FinitePoint):
             return FinitePoint(pre + self.tail.path, self.tail.tail)
-        if isinstance(self.tail, PeriodicPoint):
-            return PeriodicPoint(pre + self.tail.preamble, self.tail.cycle)
-        raise PointError("repeat families need finite or periodic tails")
+        return PeriodicPoint(pre + self.tail.preamble, self.tail.cycle)
 
 
 def check_convergence(g: Ultragraph, seq, target: Point,
@@ -444,7 +376,7 @@ def _finite_case_condition(g: Ultragraph, target: FinitePoint, F: SymbolicSet,
 
     def cond(n: int) -> bool:
         xn = term(n)
-        if isinstance(xn, (FinitePoint, PeriodicPoint)) and xn == target:
+        if xn == target:
             return True
         if length(xn) <= k:
             return False

@@ -55,7 +55,6 @@ from ultrashift.points import (
     block_witness,
     cylinder_contains,
     length,
-    points_equal,
     shift,
     shift_cylinder,
 )
@@ -208,14 +207,14 @@ def test_criterion_07_example_d_reproduction():
         pool.append(sampling.random_point(fx.source, rng))
     for x in pool:
         back = eval_resolved(phi_inv, eval_resolved(phi, x))
-        assert points_equal(back, x, 12), x
+        assert back == x, x
     refute = refute_finitely_defined(fx.source, fx.oracles["C_P"],
                                      fx.points["all_e0"], 6)
     lp = check_length_preserving(phi, fx.sample_pool(40))
     ok = refute.status == "refuted" and lp.status == "fails" and \
         lp.witness == fx.points["all_e0"]
     _line(7, ok, "evaluation matches the worked words, the inverse "
-                 "composes to the identity on 50 samples to depth 12, the "
+                 "composes to the identity on 50 samples, the "
                  "class of P is refuted, and length preservation fails "
                  "with the all-e0 witness")
 
@@ -223,8 +222,7 @@ def test_criterion_07_example_d_reproduction():
 def test_criterion_08_gsbc_maps_probe_continuous():
     started = time.monotonic()
     rng = random.Random(808)
-    bounds = ProbeBounds(n_max=8, depth=12,
-                         conv=ConvergenceBounds(m_max=4, n_max=12))
+    bounds = ProbeBounds(n_max=8, conv=ConvergenceBounds(m_max=4, n_max=12))
     built = 0
     attempts = 0
     while built < 30 and attempts < 120:
@@ -339,8 +337,7 @@ def test_criterion_09_finite_graph_degeneration():
             assert check_commuting(phi, pool, depth=10).status == "holds"
             probe_ok = all(
                 probe_continuity(phi, x, ProbeBounds(
-                    n_max=6, depth=10,
-                    conv=ConvergenceBounds(m_max=3, n_max=10)), rng)
+                    n_max=6, conv=ConvergenceBounds(m_max=3, n_max=10)), rng)
                 .status == "holds" for x in pool[:6])
             local_ok = _localizable(phi, g, 3)
             assert probe_ok and local_ok, (g.name, w)

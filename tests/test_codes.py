@@ -277,7 +277,7 @@ def test_period_preservation_examples():
 def test_zero_length_points_map_to_constant_sequences():
     for fx in (FA, FB, FD):
         for x in (p for p in fx.sample_pool(10) if length(p) == 0):
-            img = eval_map(fx.phi, x, 10)
+            img = eval_map(fx.phi, x)
             assert all(s == img.prefix[0] for s in img.prefix)
 
 
@@ -395,7 +395,7 @@ def test_item_ii_with_excluded_target_edge():
         if not cylinder_contains(GA, source_cyl, x):
             continue
         hits += 1
-        img = eval_resolved(FA.phi, x, 40)
+        img = eval_resolved(FA.phi, x)
         assert cylinder_contains(HA, target_cyl, img), f"{x} escapes"
     assert hits >= 5
 

@@ -5,8 +5,12 @@ import weakref
 
 import pytest
 
-from ultrashift.corpus import build_fixture, registry, run_fixture
+from ultrashift.corpus import (_named_emitters, _sole_emitter, build_fixture,
+                               graph_a_source, graph_d_target, registry,
+                               run_fixture)
 from ultrashift.definable import SetOracle
+from ultrashift.graphs import GraphError
+from ultrashift.intsets import IndexSet, SymbolicSet
 from ultrashift.points import RepeatFamily
 
 
@@ -28,6 +32,15 @@ def test_fixture_graphs_reuse_named_emitters():
     tails = {m.display() for m, in zip(
         fx.target.minimal_infinite_emitters()[0])}
     assert len(tails) == 2
+
+
+def test_fixture_emitter_lookups_name_the_graph():
+    # both checks raise, so python -O keeps them
+    with pytest.raises(GraphError, match="H_d has 2 minimal"):
+        _sole_emitter(graph_d_target(), "A")
+    with pytest.raises(GraphError, match="G_a has no minimal .* for Q"):
+        _named_emitters(graph_a_source(), {
+            "Q": SymbolicSet.of(("v", IndexSet.of(7)))})
 
 
 def test_registry_contents():

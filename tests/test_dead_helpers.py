@@ -1,5 +1,5 @@
 """Guard against dead private helpers and dead helper parameters in the
-package."""
+package, and against checks that depend on how Python is run."""
 
 import ast
 import pathlib
@@ -234,4 +234,14 @@ def test_no_module_reads_the_environment():
                 node.name if isinstance(node, ast.alias) else None
             if name in reads:
                 found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_no_module_checks_with_assert():
+    # python -O strips assert statements, so a check the package relies on
+    # must raise an error of its own
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
     assert found == []

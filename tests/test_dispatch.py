@@ -4,8 +4,6 @@ and the window is the smallest one the first image symbol depends on."""
 
 import random
 
-import pytest
-
 from helpers_random import identity_map, mirror_map, random_family_graph
 from test_acceptance import _localizable, _window_map
 from ultrashift import sampling
@@ -20,7 +18,7 @@ from ultrashift.codes import (
 from ultrashift.corpus import build_fixture, d, e, f, finite_cycle_graph
 from ultrashift.definable import LitAtom, PcSchema, RepAtom, VarAtom
 from ultrashift.intsets import IndexSet
-from ultrashift.points import DepthExceeded, GeneratorPoint, shift_n
+from ultrashift.points import shift_n
 
 FA = build_fixture("a")
 GA, HA = FA.source, FA.target
@@ -149,13 +147,3 @@ def test_window_is_none_where_the_syntax_gives_no_bound():
     assert anchored.window == 4
     assert MapPresentation(GA, HA, [SchemaClass([], symbol=e(1))]) \
         .window == 0
-
-
-def test_a_generator_too_shallow_to_read_meets_every_class():
-    # no first coordinate to read: an oracle class that does not read the
-    # point still answers, and a schema class still raises
-    shallow = GeneratorPoint(lambda i: d(), 0)
-    oracle = MapPresentation(GA, HA, [OracleClass(e(1), lambda x: True)])
-    assert oracle.symbol_at(shallow) == e(1)
-    with pytest.raises(DepthExceeded):
-        mirror_map(GA).symbol_at(shallow)

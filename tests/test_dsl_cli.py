@@ -217,7 +217,8 @@ map Forms : G -> H {
 
 
 def test_printed_schemas_parse_back():
-    # one schema for each of the DSL's domain forms: >=a, <=a, a..b, a,b,c
+    # one schema for each of the DSL's domain forms: >=a, <=a, a..b, a,b,c,
+    # all of Z, and unions with unbounded spans
     schemas = [
         PcSchema(1, (LitAtom(d()), VarAtom("f", AffineIndexMap(1, 1))),
                  IndexSet.at_least(3)),
@@ -225,6 +226,10 @@ def test_printed_schemas_parse_back():
                  IndexSet.at_most(-2)),
         PcSchema(1, (VarAtom("f"),), IndexSet.between(2, 5)),
         PcSchema(2, (VarAtom("f"), LitAtom(d())), IndexSet.of(1, 6, 7)),
+        PcSchema(1, (VarAtom("f"),), IndexSet.nonzero()),
+        PcSchema(1, (VarAtom("f"),), IndexSet.all()),
+        PcSchema(1, (VarAtom("f"),),
+                 IndexSet.between(1, 2).union(IndexSet.at_least(4))),
     ]
     classes = "".join(f"  class e[{i}] {{ {s} }}\n"
                       for i, s in enumerate(schemas, 1))
@@ -234,6 +239,19 @@ map Printed : G -> H {{
 """, registry())
     assert [c.body for c in doc.maps["Printed"].classes] == \
         [(s,) for s in schemas]
+
+
+def test_gen_point_literals_are_rejected(doc_file, capsys):
+    g = dsl.parse(GRAPH_A_WITH_MAP, registry()).graphs["G"]
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse_point_literal(g, "gen: a.gen_all_d")
+    assert (err.value.line, err.value.col) == (1, 1)
+    assert "point literals start with fin: or inf:" in str(err.value)
+    assert main(["eval", doc_file, "--map", "Phi", "--point",
+                 "gen: a.gen_all_d"]) == 3
+    captured = capsys.readouterr()
+    assert "parse error: 1:1:" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_finite_and_periodic_points_print_and_parse_back():
@@ -408,6 +426,25 @@ def test_cli_usage_error_exit_code():
     assert main(["no-such-command"]) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["blocks", "DOC", "--graph", "G", "-n", "0"], "0 is below 1"),
+    (["blocks", "DOC", "--graph", "G", "-n", "1", "--index-bound", "-1"],
+     "-1 is below 0"),
+    (["refute-fd", "DOC", "--oracle", "a.C_B", "--point", "target",
+      "--graph", "G", "--max-window", "0"], "0 is below 1"),
+    (["eval", "DOC", "--map", "Phi", "--point", "target", "--depth", "-3"],
+     "-3 is below 1"),
+    (["eval", "DOC", "--map", "Phi", "--point", "target", "--depth", "x"],
+     "'x' is not an integer"),
+])
+def test_cli_bounds_are_checked_when_parsed(doc_file, capsys, argv, message):
+    argv = [doc_file if a == "DOC" else a for a in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_stdin(monkeypatch, capsys):
     import io
 
@@ -512,36 +549,40 @@ def test_converge_and_refute_errors_are_error_records(
     from ultrashift.codes import MapError
 
     def raising(*args, **kwargs):
-        raise MapError("image did not resolve")
+        raise MapError("image left the target shift")
 
     monkeypatch.setattr(cli, checker, raising)
     argv = [doc_file if a == "DOC" else a for a in argv]
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "error" in out and "MapError: image did not resolve" in out
+    assert "error" in out and "MapError: image left the target shift" in out
 
 
 def test_eval_error_is_an_error_record(doc_file, capsys, monkeypatch):
-    # the map cannot place a generator point whose leading run of d it
-    # cannot bound
-    argv = ["eval", doc_file, "--map", "Phi", "--point", "gen: a.gen_all_d",
-            "--depth", "20", "--format", "json"]
-    assert main(argv) == 1
-    [record] = json.loads(capsys.readouterr().out)["records"]
-    assert record["status"] == "error"
-    assert record["detail"].startswith("DepthExceeded: run of d[0]")
-    # a map error is still a failure of the evaluation, with the point
     from ultrashift import cli
     from ultrashift.codes import MapError
+    from ultrashift.points import PointError
 
-    def raising(*args):
-        raise MapError("image did not resolve")
+    argv = ["eval", doc_file, "--map", "Phi", "--point", "inf: (d)*",
+            "--depth", "20", "--format", "json"]
 
-    monkeypatch.setattr(cli, "eval_map", raising)
+    def raising(error):
+        def eval_map(*args):
+            raise error("image left the target shift")
+        return eval_map
+
+    # a package error other than MapError is an error record
+    monkeypatch.setattr(cli, "eval_map", raising(PointError))
+    assert main(argv) == 1
+    [record] = json.loads(capsys.readouterr().out)["records"]
+    assert (record["status"], record["detail"]) == \
+        ("error", "PointError: image left the target shift")
+    # a map error is still a failure of the evaluation, with the point
+    monkeypatch.setattr(cli, "eval_map", raising(MapError))
     assert main(argv) == 1
     [record] = json.loads(capsys.readouterr().out)["records"]
     assert (record["status"], record["detail"], record["witness"]) == \
-        ("fails", "image did not resolve", "<all d to depth 128>")
+        ("fails", "image left the target shift", "((d[0])* ...)")
 
 
 # a class of e[1] that overlaps the family class, and a tail class that

@@ -5,12 +5,7 @@ import random
 import pytest
 
 from ultrashift import dsl
-from ultrashift.codes import (
-    check_csc_item_ii,
-    check_period_preservation,
-    eval_map,
-    eval_resolved,
-)
+from ultrashift.codes import check_csc_item_ii, eval_resolved
 from ultrashift.corpus import (
     build_fixture,
     d,
@@ -18,7 +13,6 @@ from ultrashift.corpus import (
     f,
     graph_a_source,
     graph_d_target,
-    registry,
 )
 from ultrashift.definable import (
     PcSchema,
@@ -35,8 +29,6 @@ from ultrashift.paths import PathError, minimal_emitters_in_range
 from ultrashift.points import (
     Cylinder,
     FinitePoint,
-    GeneratorPoint,
-    PeriodicPoint,
     cylinder_contains,
 )
 from ultrashift.paths import Ultrapath
@@ -76,29 +68,6 @@ def test_item_ii_at_a_positive_length_finite_point():
         if cylinder_contains(phi.source, source_cyl, x):
             assert cylinder_contains(phi.target, target_cyl,
                                      eval_resolved(phi, x))
-
-
-def test_eval_of_generator_points_is_depth_bounded():
-    # a one-coordinate map decides each output symbol from the stream alone
-    phi = build_fixture("c").maps["phi_finite"]
-    gen = GeneratorPoint(lambda i: f(i), 6, "rising f")
-    res = eval_map(phi, gen, depth=5)
-    assert res.resolved is None and "depth" in res.note
-    assert [s.index for s in res.prefix] == [2, 3, 4, 5, 6]
-    with pytest.raises(Exception):
-        eval_map(phi, gen, depth=9)  # reads past the declared depth
-    # an unbounded-lookahead oracle class cannot classify a short generator
-    from ultrashift.points import DepthExceeded
-
-    with pytest.raises(DepthExceeded):
-        eval_map(build_fixture("a").phi,
-                 GeneratorPoint(lambda i: d(), 6, "all d"), depth=6)
-
-
-def test_period_preservation_is_unknown_for_generators():
-    fx = build_fixture("a")
-    gen = GeneratorPoint(lambda i: d(), 16, "all d")
-    assert check_period_preservation(fx.phi, gen).status == "unknown"
 
 
 def test_yes_witnesses_reconstruct_the_queried_set():
@@ -162,21 +131,6 @@ def test_schema_intersection_agrees_with_conjunction_on_samples():
                         match_schema(s2, x) is not None)
                 got = any(match_schema(m, x) is not None for m in merged)
                 assert got == both, (g.name, s1, s2, x)
-
-
-def test_gen_point_literals_resolve_from_the_registry():
-    text = """
-    ultragraph G {
-      vertices w over [0..0]
-      edges d over [0..0] { source w[0] range w[0] }
-      edges f over >=1 { source w[0] range w[0] }
-    }
-    point gd of G = gen: a.gen_all_d
-    """
-    doc = dsl.parse(text, registry())
-    _, pt = doc.points["gd"]
-    assert isinstance(pt, GeneratorPoint)
-    assert pt.fn(3) == d()
 
 
 def test_duplicate_definitions_are_rejected():

@@ -30,7 +30,6 @@ from ultrashift.points import (
     ConvergenceBounds,
     Cylinder,
     FinitePoint,
-    GeneratorPoint,
     PeriodicPoint,
     RepeatFamily,
     block_witness,
@@ -41,7 +40,6 @@ from ultrashift.points import (
     is_prefix,
     length,
     neighborhood_basis,
-    points_equal,
     shift,
     shift_cylinder,
     validate_point,
@@ -189,7 +187,7 @@ def test_prefix_of_concat_holds():
         y = Ultrapath(edges, GD.range_of(edges[-1]))
         ok, rem = is_prefix(GD, y, pt)
         assert ok
-        assert points_equal(concat(GD, y, rem), pt)
+        assert concat(GD, y, rem) == pt
 
 
 def test_finite_point_prefix_requires_tail_inclusion():
@@ -285,17 +283,6 @@ def test_shift_length_law_and_fixed_points():
             assert length(shift(x)) == expect
             if isinstance(x, FinitePoint):
                 assert (shift(x) == x) == (lx == 0)
-
-
-def test_generator_points_are_depth_bounded():
-    x = GeneratorPoint(lambda i: d(), 5, "all d")
-    assert coordinate(x, 5) == d()
-    from ultrashift.points import DepthExceeded
-
-    with pytest.raises(DepthExceeded):
-        coordinate(x, 6)
-    assert length(shift(x)) == INFINITE
-    assert coordinate(shift(x), 4) == d()
 
 
 def test_periodic_canonicalization():

@@ -12,9 +12,7 @@ from ultrashift.corpus import build_fixture, d, f, n, registry
 from ultrashift.points import (
     ConvergenceBounds,
     FinitePoint,
-    GeneratorPoint,
     PeriodicPoint,
-    PointError,
     RepeatFamily,
     check_convergence,
     coordinate,
@@ -32,7 +30,7 @@ def _outcome(phi, x):
         res = eval_map(phi, x)
     except MapError as err:
         return type(err).__name__, str(err)
-    return res.prefix, res.resolved, str(res.resolved), res.note
+    return res.prefix, res.resolved, str(res.resolved)
 
 
 def _counting(memo):
@@ -158,28 +156,15 @@ def _reference_convergence(seq, target, bounds):
 
 
 def _both(g, seq, target, bounds):
-    """(lazy, reference) answers, each a result or the error it raised."""
-    try:
-        v = check_convergence(g, seq, target, bounds)
-        lazy = v.status, v.detail.split("; ")
-    except PointError as err:
-        lazy = type(err).__name__, str(err)
-    try:
-        ref = _reference_convergence(seq, target, bounds)
-    except PointError as err:
-        ref = type(err).__name__, str(err)
-    return lazy, ref
-
-
-def _generator_terms(x, slope):
-    """Terms that read x to depth 1 + k // slope and raise past it."""
-    return lambda k: GeneratorPoint(lambda i: coordinate(x, i),
-                                    1 + k // slope, f"x, term {k}")
+    """(lazy, reference) answers."""
+    v = check_convergence(g, seq, target, bounds)
+    return (v.status, v.detail.split("; ")), \
+        _reference_convergence(seq, target, bounds)
 
 
 def _sequences(x, other):
-    """Approach sequences to x: repeat families, swerves, finite
-    truncations, and generator terms that raise past their depth."""
+    """Approach sequences to x: repeat families, swerves and finite
+    truncations."""
     out = [seq for seq in registry().values() if isinstance(seq, RepeatFamily)]
     out.append(lambda k: x)
     out.append(lambda k: other)
@@ -187,12 +172,11 @@ def _sequences(x, other):
     out.append(lambda k: PeriodicPoint(prefix(k), other.cycle))
     out.append(lambda k: FinitePoint(prefix(k // 2), FIXTURES[0].points[
         "zero"].tail))
-    out += [_generator_terms(x, slope) for slope in (1, 2, 3)]
     return out
 
 
 def test_lazy_agreement_equals_the_per_depth_condition():
-    compared = raised = 0
+    compared = 0
     bounds = ConvergenceBounds(m_max=5, n_max=12)
     for fx in FIXTURES:
         targets = [p for p in fx.points.values() if length(p) != 0
@@ -200,12 +184,8 @@ def test_lazy_agreement_equals_the_per_depth_condition():
         for x in targets:
             other = next(p for p in targets if p != x) if len(targets) > 1 \
                 else PeriodicPoint((), (d(),))
-            gen_target = GeneratorPoint(lambda i, x=x: coordinate(x, i), 3,
-                                        "x to depth 3")
             for seq in _sequences(x, other):
-                for target in (x, gen_target):
-                    lazy, ref = _both(fx.source, seq, target, bounds)
-                    assert lazy == ref, (x, seq, target)
-                    compared += 1
-                    raised += lazy[0] == "DepthExceeded"
-    assert compared > 50 and raised > 10
+                lazy, ref = _both(fx.source, seq, x, bounds)
+                assert lazy == ref, (x, seq)
+                compared += 1
+    assert compared > 50
