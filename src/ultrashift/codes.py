@@ -37,6 +37,7 @@ from .points import (
     check_convergence,
     coordinate,
     length,
+    prefix,
     shift,
     shift_n,
     validate_point,
@@ -264,30 +265,23 @@ def eval_map(phi, x: Point) -> EvalResult:
     Every point is finite or eventually periodic, so its orbit reaches a
     fixed point or closes a cycle, and the image resolves exactly: a finite
     point (when an emitter symbol appears, which must then persist) or an
-    eventually periodic point."""
+    eventually periodic point.  Under a probe's memo (``_ProbeMemo``) a
+    stored image of x is returned as it is; otherwise a map with a window
+    reads each step's symbol by the coordinates in that step's window, and
+    any other map walks the orbit and splices on a stored image of a
+    shift."""
     m, steps = _orbit_closure(x)
-    # a probe's memo of resolved images
     memo = phi if isinstance(phi, _ProbeMemo) else None
-    syms: list = []
-    cur = x
-    emitter_at: int | None = None
-    for i in range(steps):
-        if memo is not None and emitter_at is None:
-            known = memo.images.get(memo.key(cur))
-            if known is not None:
-                if i == 0:
-                    return known  # x itself was evaluated in this probe
-                # the image of x is syms followed by the image of its i-th
-                # shift, whose walk covers the remaining steps
-                syms.extend(known.prefix[:steps - i])
-                emitter_at = next((j for j in range(i, steps) if isinstance(
-                    syms[j], MinimalEmitter)), None)
-                break
-        sym = phi.symbol_at(cur)
-        if isinstance(sym, MinimalEmitter) and emitter_at is None:
-            emitter_at = i
-        syms.append(sym)
-        cur = shift(cur)
+    if memo is not None:
+        known = memo.images.get(memo.key(x))
+        if known is not None:
+            return known  # x itself was evaluated in this probe
+    if memo is not None and memo.window is not None:
+        syms = memo.window_symbols(x, steps)
+    else:
+        syms = _orbit_symbols(phi, x, steps, memo)
+    emitter_at = next((i for i, s in enumerate(syms)
+                       if isinstance(s, MinimalEmitter)), None)
     if emitter_at is not None:
         tail = syms[emitter_at]
         # once the orbit closes at (m, m + p), checking the computed symbols
@@ -309,6 +303,27 @@ def eval_map(phi, x: Point) -> EvalResult:
     if memo is not None:
         memo.images[memo.key(x)] = res
     return res
+
+
+def _orbit_symbols(phi, x: Point, steps: int, memo) -> list:
+    """The first image symbols of x and its next ``steps - 1`` shifts.
+    With a probe's memo, the walk ends at the first shift whose image is
+    stored, unless an emitter symbol came before it."""
+    syms: list = []
+    cur = x
+    emitted = False
+    for i in range(steps):
+        if i and memo is not None and not emitted:
+            known = memo.images.get(memo.key(cur))
+            if known is not None:
+                # the image of x is syms followed by the image of its i-th
+                # shift, whose walk covers the remaining steps
+                return syms + list(known.prefix[:steps - i])
+        sym = phi.symbol_at(cur)
+        emitted = emitted or isinstance(sym, MinimalEmitter)
+        syms.append(sym)
+        cur = shift(cur)
+    return syms
 
 
 def _check_output(h: Ultragraph, out: Point) -> None:
@@ -1101,13 +1116,14 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
 
 class _ProbeMemo:
     """A map whose first-coordinate symbols and resolved images are
-    memoized for one probe.  The orbits of
-    one probe's approach terms overlap (the shifts of block^n + tail include
-    block^(n-1) + tail), so their evaluations share most symbols, and
-    ``eval_map`` splices a stored image onto the symbols before it.  When
-    the map has a window, symbols are keyed by the point's coordinates in
-    it, which all points that agree there share; images stay keyed by the
-    whole point.  Failed images are not memoized."""
+    memoized for one probe.  The orbits of one probe's approach terms
+    overlap (the shifts of block^n + tail include block^(n-1) + tail), so
+    their evaluations share most symbols.  When the map has a window,
+    ``eval_map`` reads the symbols through ``window_symbols``, keyed by the
+    coordinates in each step's window, which all points that agree there
+    share.  Otherwise symbols are keyed by the whole point, and
+    ``eval_map`` splices a stored image onto the symbols before it.
+    Images are keyed by the whole point; failed images are not memoized."""
 
     def __init__(self, phi):
         self.phi = phi
@@ -1124,15 +1140,32 @@ class _ProbeMemo:
             (x, getattr(x.tail, "name", None))
 
     def symbol_at(self, x: Point):
-        if self.window is None:
-            key = self.key(x)
-        else:
-            # the symbol depends on the window's coordinates only
-            key = tuple(coordinate(x, i) for i in range(1, self.window + 1))
+        key = self.key(x)
         sym = self.symbols.get(key)
         if sym is None:
             sym = self.symbols[key] = self.phi.symbol_at(x)
         return sym
+
+    def window_symbols(self, x: Point, steps: int) -> list:
+        """The first image symbols of x and its next ``steps - 1`` shifts,
+        for a map with a window w: the symbol at step i depends on the
+        coordinates x_{i+1}..x_{i+w} only, so the first steps + w - 1
+        coordinates are read once and a shifted point is built only for a
+        window not seen before in this probe."""
+        w = self.window
+        coords = prefix(x, steps + w - 1)
+        syms = []
+        cur, at = x, 0  # the shift of x built last, and how far it is
+        for i in range(steps):
+            key = coords[i:i + w]
+            sym = self.symbols.get(key)
+            if sym is None:
+                for _ in range(i - at):
+                    cur = shift(cur)
+                at = i
+                sym = self.symbols[key] = self.phi.symbol_at(cur)
+            syms.append(sym)
+        return syms
 
 
 def _approach_strategies(g: Ultragraph, x: Point, bounds: ProbeBounds):
@@ -1167,7 +1200,7 @@ def _swerve_strategies(g, x):
         return out
 
     def seq(n):
-        edges = tuple(coordinate(x, i) for i in range(1, n + 1))
+        edges = prefix(x, n)
         last = edges[-1]
         for e2 in g.successor_sample(last, 6):
             if e2 == coordinate(x, n + 1):
@@ -1181,7 +1214,7 @@ def _swerve_strategies(g, x):
 
 def _truncate_strategy(g, x):
     def seq(n):
-        edges = tuple(coordinate(x, i) for i in range(1, n + 1))
+        edges = prefix(x, n)
         tails = g.range_emitters(edges[-1])
         if tails:
             return FinitePoint(edges, tails[0])

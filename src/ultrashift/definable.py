@@ -33,6 +33,7 @@ from .points import (
     concat,
     coordinate,
     length,
+    prefix,
     shift_n,
     validate_point,
 )
@@ -613,15 +614,14 @@ def _window_variants(g: Ultragraph, x: Point, k: int, l: int,
                      index_bound: int, tries: int):
     """Candidate points agreeing with x on k..l: continuation changes after
     l, then prefix changes before k."""
-    window_syms = [coordinate(x, i) for i in range(1, l + 1)]
+    window_syms = prefix(x, l)
     if all(isinstance(s, EdgeRef) for s in window_syms):
         nxt_true = coordinate(x, l + 1) if length(x) > l else None
         count = 0
         for e2 in g.successor_sample(window_syms[-1], tries):
             if e2 == nxt_true:
                 continue
-            w = block_witness(g, Block(tuple(window_syms) + (e2,)),
-                              index_bound)
+            w = block_witness(g, Block(window_syms + (e2,)), index_bound)
             if w is not None:
                 count += 1
                 yield w, f"continuation changed at position {l + 1}"
@@ -629,7 +629,7 @@ def _window_variants(g: Ultragraph, x: Point, k: int, l: int,
                 break
         tails = g.range_emitters(window_syms[-1])
         for m in tails:
-            yield (FinitePoint(tuple(window_syms), m),
+            yield (FinitePoint(window_syms, m),
                    f"cut to a finite point after position {l}")
     if k > 1:
         tail_edges = all(isinstance(s, EdgeRef) for s in window_syms[k - 1:])

@@ -527,10 +527,14 @@ class _Parser:
             a = self.int_value()
             return (a, None) if t.kind == ">=" else (None, a)
         lo = self.int_value()
-        if self.peek().kind == "..":
-            self.next()
-            return lo, self.int_value()
-        return lo, lo
+        if self.peek().kind != "..":
+            return lo, lo
+        self.next()
+        hi = self.int_value()
+        if lo > hi:
+            raise ParseError(f"empty interval {lo}..{hi}", t.line, t.col,
+                             "swap the endpoints")
+        return lo, hi
 
     def schema(self, g: Ultragraph, class_var: str | None,
                class_domain: IndexSet | None) -> PcSchema:

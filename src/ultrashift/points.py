@@ -10,6 +10,7 @@ the ultrapath ``y`` whose next symbol avoids the finite edge set ``F``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graphs import EdgeRef, MinimalEmitter, Ultragraph
@@ -87,6 +88,19 @@ def coordinate(x: Point, n: int):
     if n <= m:
         return x.preamble[n - 1]
     return x.cycle[(n - m - 1) % len(x.cycle)]
+
+
+def prefix(x: Point, n: int) -> tuple:
+    """The first n coordinates of x, as ``coordinate`` reads them, by
+    slicing: past a finite path the tail repeats, and a cycle wraps."""
+    if n < 0:
+        raise PointError("a prefix has a nonnegative length")
+    if isinstance(x, FinitePoint):
+        path = x.path[:n]
+        return path + (x.tail,) * (n - len(path))
+    pre = x.preamble[:n]
+    laps, part = divmod(n - len(pre), len(x.cycle))
+    return pre + x.cycle * laps + x.cycle[:part]
 
 
 def shift(x: Point) -> Point:
@@ -239,7 +253,7 @@ def neighborhood_basis(g: Ultragraph, x: Point, depth: int | None = None,
     if length(x) == INFINITE:
         if not depth or depth < 1:
             raise PointError("infinite points need a positive depth")
-        edges = tuple(coordinate(x, i) for i in range(1, depth + 1))
+        edges = prefix(x, depth)
         return Cylinder(Ultrapath(edges, g.range_of(edges[-1])))
     if depth is not None:
         raise PointError("finite points take an excluded set, not a depth")
@@ -303,47 +317,36 @@ def check_convergence(g: Ultragraph, seq, target: Point,
             terms[n] = at(n)
         return terms[n]
 
+    # (name, read) pairs; read() lists the condition's truth at n = 1..n_max
     conditions = []
     if length(target) == INFINITE:
-        # n -> (depth to which term n agrees with the target, whether a
-        # mismatch follows it); extended only as far as a depth M asks
-        agreed: dict = {}
-        goal: list = []  # the target's coordinates read so far
+        # term n satisfies condition M when it agrees with the target to
+        # depth M; each term's depth is read once, up to m_max
+        depths: list = []
 
-        def agrees_to(M):
-            def cond(n: int) -> bool:
-                xn = term(n)
-                if length(xn) < M:
-                    return False
-                k, stopped = agreed.get(n, (0, False))
-                while k < M and not stopped:
-                    sym = coordinate(xn, k + 1)
-                    if k == len(goal):
-                        goal.append(coordinate(target, k + 1))
-                    if sym == goal[k]:
-                        k += 1
-                    else:
-                        stopped = True
-                agreed[n] = k, stopped
-                return k >= M
-            return cond
+        def agreeing(M: int) -> list:
+            if not depths:
+                goal = prefix(target, bounds.m_max)
+                depths.extend(_agreement(term(n), goal)
+                              for n in range(1, bounds.n_max + 1))
+            return [d >= M for d in depths]
 
         for M in range(1, bounds.m_max + 1):
             conditions.append((f"prefix agreement to depth {M}",
-                               agrees_to(M)))
+                               functools.partial(agreeing, M)))
     else:
         f_list = bounds.f_list or _default_f_list(g, target)
         for F in f_list:
-            conditions.append((f"escape outside F={F}",
-                               _finite_case_condition(g, target, F, term)))
+            conditions.append((f"escape outside F={F}", functools.partial(
+                _escape_outcomes, g, target, F, term, bounds.n_max)))
 
     worst = HOLDS
     detail_bits = []
     witness = None
     exact = isinstance(seq, RepeatFamily)
     half = bounds.n_max // 2
-    for name, cond in conditions:
-        outcomes = [cond(n) for n in range(1, bounds.n_max + 1)]
+    for name, read in conditions:
+        outcomes = read()
         if not any(outcomes[half:]):
             # the whole tail of the window fails: divergence up to bounds
             worst = FAILS
@@ -365,30 +368,38 @@ def check_convergence(g: Ultragraph, seq, target: Point,
                    bounds.as_dict(), exact)
 
 
+def _agreement(x: Point, goal: tuple) -> int:
+    """How many leading coordinates of x equal those of goal, counting no
+    further than x's length."""
+    head = prefix(x, min(len(goal), length(x)))
+    for k, sym in enumerate(head):
+        if sym != goal[k]:
+            return k
+    return len(head)
+
+
 def _stable(outcomes: list, half: int) -> bool:
     tail = outcomes[half:]
     return all(o == tail[0] for o in tail)
 
 
-def _finite_case_condition(g: Ultragraph, target: FinitePoint, F: SymbolicSet,
-                           term):
+def _escape_outcomes(g: Ultragraph, target: FinitePoint, F: SymbolicSet,
+                     term, n_max: int) -> list:
+    """For n = 1..n_max, whether term n equals the target (path, A) or
+    extends its path by an edge of eps(A) outside F."""
     k = len(target.path)
 
-    def cond(n: int) -> bool:
-        xn = term(n)
+    def escapes(xn: Point) -> bool:
         if xn == target:
             return True
-        if length(xn) <= k:
-            return False
-        if any(coordinate(xn, i) != target.path[i - 1]
-               for i in range(1, k + 1)):
+        if length(xn) <= k or prefix(xn, k) != target.path:
             return False
         nxt = coordinate(xn, k + 1)
         if isinstance(nxt, MinimalEmitter):
             return False
         return (g.source_in(nxt, target.tail.vertices)
                 and not F.contains(nxt.family, nxt.index))
-    return cond
+    return [escapes(term(n)) for n in range(1, n_max + 1)]
 
 
 def _default_f_list(g: Ultragraph, target: FinitePoint):

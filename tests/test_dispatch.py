@@ -49,13 +49,17 @@ def _pool(g, seed, size=30):
 
 def _assert_same_answers(phi, pool) -> int:
     """Plain and memoized symbols equal the reference walk; the memo is
-    asked twice, so its second pass reads stored symbols."""
+    asked twice, so its second pass reads stored symbols.  A map with a
+    window is asked through its window keys, as a probe's evaluations ask
+    it."""
     memo = _ProbeMemo(phi)
+    memoized = memo.symbol_at if memo.window is None else \
+        (lambda x: memo.window_symbols(x, 1)[0])
     for _ in range(2):
         for x in pool:
             want = _reference(phi, x)
             assert _answer(phi.symbol_at, x) == want, (phi, x)
-            assert _answer(memo.symbol_at, x) == want, (phi, x)
+            assert _answer(memoized, x) == want, (phi, x)
     return len(pool)
 
 

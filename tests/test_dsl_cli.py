@@ -216,6 +216,25 @@ map Forms : G -> H {
     assert listed.body[0].param_domain == IndexSet.of(1, 6)
 
 
+@pytest.mark.parametrize("clause", [
+    "class e[1] { pc 1..1 : f[k] ; k in 5..2 }",
+    "class e[1] { pc 1..1 : f[k] ; k in 1, 5..2 }",
+    "class e[j] for j in 5..2 { pc 1..1 : f[j] }",
+])
+def test_reversed_spans_are_empty_intervals(clause, tmp_path, capsys):
+    text = GRAPH_A_WITH_MAP + f"map Bad : G -> H {{\n  {clause}\n}}\n"
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse(text, registry())
+    assert "empty interval 5..2" in str(err.value)
+    assert err.value.hint == "swap the endpoints"
+    line = text.splitlines()[err.value.line - 1]
+    assert line[err.value.col - 1:].startswith("5..2")
+    doc = tmp_path / "bad.ug"
+    doc.write_text(text)
+    assert main(["validate", str(doc)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_printed_schemas_parse_back():
     # one schema for each of the DSL's domain forms: >=a, <=a, a..b, a,b,c,
     # all of Z, and unions with unbounded spans

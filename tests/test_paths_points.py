@@ -31,6 +31,7 @@ from ultrashift.points import (
     Cylinder,
     FinitePoint,
     PeriodicPoint,
+    PointError,
     RepeatFamily,
     block_witness,
     check_convergence,
@@ -40,6 +41,7 @@ from ultrashift.points import (
     is_prefix,
     length,
     neighborhood_basis,
+    prefix,
     shift,
     shift_cylinder,
     validate_point,
@@ -259,6 +261,22 @@ def test_coordinate_of_finite_point_tail():
     x = FinitePoint((f(-2), f(-1)), Q)
     assert coordinate(x, 3) == Q
     assert validate_point(HD, x) == []
+
+
+@pytest.mark.parametrize("x", [
+    FinitePoint((), A_W),
+    FinitePoint((f(-2), f(-1)), Q),
+    PeriodicPoint((), (d(),)),
+    PeriodicPoint((d(), f(2)), (f(3), f(1), d())),
+], ids=str)
+def test_prefix_reads_what_coordinate_reads(x):
+    # n runs past a finite path (the tail repeats) and over several laps of
+    # a cycle, starting at the empty prefix
+    for n in range(0, 12):
+        assert prefix(x, n) == tuple(coordinate(x, i) for i in range(1, n + 1))
+    assert prefix(x, 0) == ()
+    with pytest.raises(PointError):
+        prefix(x, -1)
 
 
 def test_shift_fixes_zero_length_points():

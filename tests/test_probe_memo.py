@@ -1,14 +1,29 @@
 """The cost cuts of a continuity probe change no answer: evaluation that
-splices stored images equals plain evaluation, and convergence read with
-lazily extended prefix agreement equals the per-depth condition read
-afresh."""
+reads symbols by window keys or splices stored images equals plain
+evaluation, and convergence read from each term's agreement depth equals
+the definition read coordinate by coordinate."""
 
 import dataclasses
+import random
 
 import pytest
 
-from ultrashift.codes import MapError, RuleMap, _ProbeMemo, eval_map
+from helpers_random import identity_map, mirror_map, random_family_graph
+from test_acceptance import _window_map
+from ultrashift import sampling
+from ultrashift.codes import (
+    MapError,
+    MapPresentation,
+    ProbeBounds,
+    RuleMap,
+    SchemaClass,
+    _ProbeMemo,
+    eval_map,
+    probe_continuity,
+)
 from ultrashift.corpus import build_fixture, d, f, n, registry
+from ultrashift.definable import LitAtom, PcSchema, VarAtom
+from ultrashift.intsets import AffineIndexMap
 from ultrashift.points import (
     ConvergenceBounds,
     FinitePoint,
@@ -17,6 +32,7 @@ from ultrashift.points import (
     check_convergence,
     coordinate,
     length,
+    prefix,
     shift,
     shift_n,
 )
@@ -131,35 +147,130 @@ def test_failed_images_are_not_stored():
     assert memo.images == {}
 
 
-# -- lazy prefix agreement ------------------------------------------------------
+# -- the window walk ------------------------------------------------------------
 
 
-def _reference_convergence(seq, target, bounds):
-    """The status and detail lines of an infinite-target convergence check,
-    with the depth-M condition read from coordinate 1 for every term."""
+def _index_shift_map(g):
+    """Sends the edge f[k] to f[k+1] of the source graph itself: a window-1
+    map whose images are often not points of its target.  An edge whose
+    successor index leaves the family's domain matches no class."""
+    down = AffineIndexMap(1, -1)
+    classes = [SchemaClass([PcSchema(1, (VarAtom(name),), ef.domain)],
+                           family=name, index_map=AffineIndexMap(1, 1),
+                           index_domain=ef.domain.intersect(
+                               down.image(ef.domain)))
+               for name, ef in g.edge_families.items()]
+    classes += [SchemaClass([PcSchema(1, (LitAtom(m),))], symbol=m)
+                for m in g.minimal_infinite_emitters()[0]]
+    return MapPresentation(g, g, classes, f"index shift on {g.name}")
+
+
+def _random_window_maps(seed: int, graphs: int):
+    """(map, pool) pairs over seeded family graphs, with windows 1 to 3."""
+    rng = random.Random(seed)
+    for tag in range(graphs):
+        g = random_family_graph(rng, tag)
+        mirror = mirror_map(g)
+        pool = sampling.point_pool(g, random.Random(tag), 12)
+        for phi in [mirror, identity_map(g), _index_shift_map(g)] + \
+                [_window_map(g, mirror.target, w) for w in (1, 2, 3)]:
+            yield phi, pool
+
+
+def test_window_walk_equals_plain_evaluation():
+    compared = refused = 0
+    cases = list(_random_window_maps(41, 6))
+    for fx in FIXTURES:
+        for phi in fx.maps.values():
+            if getattr(phi, "window", None) is not None:
+                pool = sampling.point_pool(phi.source, random.Random(2), 30)
+                if phi.source is fx.source:
+                    pool += list(fx.points.values())
+                cases.append((phi, pool))
+    windows = {phi.window for phi, _ in cases}
+    assert {1, 2, 3} <= windows
+    for phi, pool in cases:
+        memo = _ProbeMemo(phi)
+        for x in pool:
+            # shifts first, as the orbits of a probe's terms overlap
+            for k in (2, 1, 0):
+                y = shift_n(x, k)
+                got = _outcome(memo, y)
+                assert got == _outcome(phi, y), (phi, y)
+                compared += 1
+                refused += "is not a point of the target shift" in str(got)
+    assert compared > 1500
+    assert refused > 0  # images failing target validation raise both ways
+
+
+class _Counting:
+    """A map that records the points its symbols are asked for."""
+
+    def __init__(self, phi):
+        self.phi, self.asked = phi, []
+        self.source, self.target, self.window = \
+            phi.source, phi.target, phi.window
+
+    def symbol_at(self, x):
+        self.asked.append(x)
+        return self.phi.symbol_at(x)
+
+
+def test_a_probe_asks_for_each_window_once():
+    bounds = ProbeBounds(n_max=8, conv=ConvergenceBounds(m_max=4, n_max=12))
+    probes = 0
+    maps = [(phi, pool) for phi, pool in _random_window_maps(43, 4)] + \
+        [(fx.maps[k], list(fx.points.values())) for fx in FIXTURES[2:3]
+         for k in ("phi_finite", "phi_infinite")]
+    for phi, pool in maps:
+        for x in pool[:6]:
+            counting = _Counting(phi)
+            try:
+                probe_continuity(counting, x, bounds)
+            except MapError:
+                pass  # the index shift map refuses some images
+            keys = [prefix(y, phi.window) for y in counting.asked]
+            assert len(keys) == len(set(keys)), (phi, x)
+            probes += len(keys) > 1
+    assert probes > 20
+
+
+# -- agreement depths -----------------------------------------------------------
+
+
+def _definition(seq, target, bounds):
+    """check_convergence at an infinite target as (status, detail, witness,
+    exact), with "term n agrees to depth M" read afresh for every n and M:
+    the term is at least M long and its coordinates 1..M are the
+    target's."""
     at = seq.at if isinstance(seq, RepeatFamily) else seq
-    status, bits, half = "holds", [], bounds.n_max // 2
+    n_max, half = bounds.n_max, bounds.n_max // 2
+    status, bits, exact = "holds", [], isinstance(seq, RepeatFamily)
     for M in range(1, bounds.m_max + 1):
         name = f"prefix agreement to depth {M}"
         ok = [length(at(k)) >= M and all(
             coordinate(at(k), i) == coordinate(target, i)
-            for i in range(1, M + 1)) for k in range(1, bounds.n_max + 1)]
+            for i in range(1, M + 1)) for k in range(1, n_max + 1)]
+        stable = len(set(ok[half:])) == 1
         if not any(ok[half:]):
-            return "fails", bits + [f"{name}: fails for every large sampled n"]
-        last = max((i for i, good in enumerate(ok) if not good), default=-1)
-        if last == len(ok) - 1:
+            bits.append(f"{name}: fails for every large sampled n")
+            return ("fails", "; ".join(bits), (n_max, at(n_max), name),
+                    exact and stable)
+        if not ok[-1]:
             status = "unknown"
-            bits.append(f"{name}: still failing at n={bounds.n_max}")
+            bits.append(f"{name}: still failing at n={n_max}")
+            exact = False
         else:
+            last = max((i for i, good in enumerate(ok) if not good),
+                       default=-1)
             bits.append(f"{name}: satisfied for n>{last + 1}")
-    return status, bits
+            exact = exact and stable
+    return status, "; ".join(bits), None, exact
 
 
-def _both(g, seq, target, bounds):
-    """(lazy, reference) answers."""
+def _verdict(g, seq, target, bounds):
     v = check_convergence(g, seq, target, bounds)
-    return (v.status, v.detail.split("; ")), \
-        _reference_convergence(seq, target, bounds)
+    return v.status, v.detail, v.witness, v.exact
 
 
 def _sequences(x, other):
@@ -168,9 +279,8 @@ def _sequences(x, other):
     out = [seq for seq in registry().values() if isinstance(seq, RepeatFamily)]
     out.append(lambda k: x)
     out.append(lambda k: other)
-    prefix = lambda k: tuple(coordinate(x, i) for i in range(1, k + 1))  # noqa
-    out.append(lambda k: PeriodicPoint(prefix(k), other.cycle))
-    out.append(lambda k: FinitePoint(prefix(k // 2), FIXTURES[0].points[
+    out.append(lambda k: PeriodicPoint(prefix(x, k), other.cycle))
+    out.append(lambda k: FinitePoint(prefix(x, k // 2), FIXTURES[0].points[
         "zero"].tail))
     return out
 
@@ -185,7 +295,36 @@ def test_lazy_agreement_equals_the_per_depth_condition():
             other = next(p for p in targets if p != x) if len(targets) > 1 \
                 else PeriodicPoint((), (d(),))
             for seq in _sequences(x, other):
-                lazy, ref = _both(fx.source, seq, x, bounds)
-                assert lazy == ref, (x, seq)
+                assert _verdict(fx.source, seq, x, bounds) == \
+                    _definition(seq, x, bounds), (x, seq)
                 compared += 1
     assert compared > 50
+
+
+def test_agreement_depths_read_the_definition_in_each_case():
+    g = FIXTURES[0].source
+    tail = FIXTURES[0].points["zero"].tail
+    x, other = PeriodicPoint((), (d(),)), PeriodicPoint((), (f(1),))
+    bounds = ConvergenceBounds(m_max=4, n_max=10)
+    cases = [
+        # terms shorter than M: the first terms are shorter than m_max
+        (lambda k: FinitePoint((d(),) * (k // 2), tail), "holds", None,
+         False),
+        # every term fails at M = 1: the witness is the term at n_max
+        (lambda k: other, "fails",
+         (10, other, "prefix agreement to depth 1"), False),
+        # agreement ends only at the last term: undecided
+        (lambda k: x if k < 10 else other, "unknown", None, False),
+        (lambda k: PeriodicPoint((d(),) * k, (f(1),)), "holds", None, False),
+        # repeat families certify exactly, converging or not
+        (RepeatFamily((d(),), other), "holds", None, True),
+        (RepeatFamily((f(1),), x), "fails",
+         (10, RepeatFamily((f(1),), x).at(10),
+          "prefix agreement to depth 1"), True),
+        (RepeatFamily((d(),), FinitePoint((), tail)), "holds", None, True),
+    ]
+    for seq, status, witness, exact in cases:
+        got = _verdict(g, seq, x, bounds)
+        assert got == _definition(seq, x, bounds), seq
+        assert got[0] == status and got[2] == witness and got[3] == exact
+    assert length(cases[0][0](1)) < bounds.m_max
