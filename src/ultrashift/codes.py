@@ -267,21 +267,26 @@ def eval_map(phi, x: Point) -> EvalResult:
     point (when an emitter symbol appears, which must then persist) or an
     eventually periodic point.  Under a probe's memo (``_ProbeMemo``) a
     stored image of x is returned as it is; otherwise a map with a window
-    reads each step's symbol by the coordinates in that step's window, and
-    any other map walks the orbit and splices on a stored image of a
-    shift."""
+    reads the symbols through ``_ProbeMemo.window_symbols``, and any other
+    map walks the orbit and splices on a stored image of a shift.  Under
+    the memo the symbols are scanned for an emitter only once the probe has
+    stored one.  A periodic image whose pairs of consecutive symbols the
+    target's ``adjacent`` memo already answers True is a point of the
+    target; any other image is validated in full."""
     m, steps = _orbit_closure(x)
     memo = phi if isinstance(phi, _ProbeMemo) else None
     if memo is not None:
-        known = memo.images.get(memo.key(x))
+        key = memo.key(x)
+        known = memo.images.get(key)
         if known is not None:
             return known  # x itself was evaluated in this probe
-    if memo is not None and memo.window is not None:
-        syms = memo.window_symbols(x, steps)
+        syms = memo.window_symbols(x, steps) if memo.window is not None \
+            else _orbit_symbols(phi, x, steps, memo)
     else:
-        syms = _orbit_symbols(phi, x, steps, memo)
-    emitter_at = next((i for i, s in enumerate(syms)
-                       if isinstance(s, MinimalEmitter)), None)
+        syms = _orbit_symbols(phi, x, steps, None)
+    emitter_at = None if memo is not None and not memo.emitted else next(
+        (i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)),
+        None)
     if emitter_at is not None:
         tail = syms[emitter_at]
         # once the orbit closes at (m, m + p), checking the computed symbols
@@ -298,10 +303,13 @@ def eval_map(phi, x: Point) -> EvalResult:
                            "maps to a length-zero point")
     else:
         out = PeriodicPoint(tuple(syms[:m]), tuple(syms[m:steps]))
-        _check_output(phi.target, out)
+        # the row's consecutive pairs are those of the image's preamble and
+        # cycle with its wrap, whatever canonical form the image takes
+        if not phi.target.known_adjacent(syms + [syms[m]]):
+            _check_output(phi.target, out)
     res = EvalResult(tuple(syms), out)
     if memo is not None:
-        memo.images[memo.key(x)] = res
+        memo.images[key] = res
     return res
 
 
@@ -1054,6 +1062,10 @@ class ProbeBounds:
     depth: int = 24
     conv: ConvergenceBounds = field(default_factory=ConvergenceBounds)
 
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise MapError("probe bound n_max must be at least 1")
+
     def as_dict(self):
         # index_bound: the bound _try_point builds approach points with
         return {"n_max": self.n_max, "index_bound": 8, **self.conv.as_dict()}
@@ -1065,8 +1077,12 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     images converge to the image of x.  A failure produces the witness
     sequence, the stuck image symbols, and the separating excluded set.
 
-    The approach strategies are deterministic: ``rng`` is accepted for
-    callers that pass one and does not affect the verdict."""
+    The first strategy, the constant sequence x, x, ..., holds by
+    construction and is not evaluated: with at least one term and one depth
+    (``ConvergenceBounds`` refuses fewer) it meets every agreement and
+    escape condition at x, and its images are the target itself.  The
+    approach strategies are deterministic: ``rng`` is accepted for callers
+    that pass one and does not affect the verdict."""
     bounds = bounds or ProbeBounds()
     g = phi.source
     # every evaluation of this probe reads one memo, dropped on return
@@ -1076,7 +1092,7 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     except MapError as err:
         return Verdict("probe-continuity", UNKNOWN, str(err), x)
     worst = HOLDS
-    notes = []
+    notes = ["constant: images converge"]
     strategies = _approach_strategies(g, x, bounds)
     for label, seq in strategies:
         repeat = isinstance(seq, RepeatFamily)
@@ -1106,10 +1122,6 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
         else:
             notes.append(f"{label}: images converge"
                          + (" (exact)" if outward.exact else ""))
-    if not notes:
-        return Verdict("probe-continuity", UNKNOWN,
-                       "no convergent approach strategy applies at this point",
-                       x, bounds.as_dict())
     return Verdict("probe-continuity", worst, "; ".join(notes), None,
                    bounds.as_dict())
 
@@ -1121,9 +1133,11 @@ class _ProbeMemo:
     their evaluations share most symbols.  When the map has a window,
     ``eval_map`` reads the symbols through ``window_symbols``, keyed by the
     coordinates in each step's window, which all points that agree there
-    share.  Otherwise symbols are keyed by the whole point, and
-    ``eval_map`` splices a stored image onto the symbols before it.
-    Images are keyed by the whole point; failed images are not memoized."""
+    share, and looked up for all steps in one pass.  Otherwise symbols are
+    keyed by the whole point, and ``eval_map`` splices a stored image onto
+    the symbols before it.  Images are keyed by the whole point; failed
+    images are not memoized.  ``emitted`` tells whether an emitter symbol
+    was stored: only then can an image hold one."""
 
     def __init__(self, phi):
         self.phi = phi
@@ -1131,6 +1145,7 @@ class _ProbeMemo:
         self.window = getattr(phi, "window", None)
         self.symbols: dict = {}
         self.images: dict = {}
+        self.emitted = False
 
     @staticmethod
     def key(x: Point):
@@ -1139,45 +1154,51 @@ class _ProbeMemo:
         return x if isinstance(x, PeriodicPoint) else \
             (x, getattr(x.tail, "name", None))
 
+    def _store(self, key, x: Point):
+        sym = self.symbols[key] = self.phi.symbol_at(x)
+        self.emitted = self.emitted or isinstance(sym, MinimalEmitter)
+        return sym
+
     def symbol_at(self, x: Point):
         key = self.key(x)
         sym = self.symbols.get(key)
-        if sym is None:
-            sym = self.symbols[key] = self.phi.symbol_at(x)
-        return sym
+        return sym if sym is not None else self._store(key, x)
 
     def window_symbols(self, x: Point, steps: int) -> list:
         """The first image symbols of x and its next ``steps - 1`` shifts,
         for a map with a window w: the symbol at step i depends on the
         coordinates x_{i+1}..x_{i+w} only, so the first steps + w - 1
-        coordinates are read once and a shifted point is built only for a
-        window not seen before in this probe."""
+        coordinates are read once, every step's window is looked up in one
+        pass, and a shifted point is built only for a window not seen
+        before in this probe, in order of the steps."""
         w = self.window
         coords = prefix(x, steps + w - 1)
-        syms = []
-        cur, at = x, 0  # the shift of x built last, and how far it is
-        for i in range(steps):
-            key = coords[i:i + w]
-            sym = self.symbols.get(key)
-            if sym is None:
-                for _ in range(i - at):
-                    cur = shift(cur)
-                at = i
-                sym = self.symbols[key] = self.phi.symbol_at(cur)
-            syms.append(sym)
+        # with w = 0 no schema reads a coordinate and every key is ()
+        keys = list(zip(*(coords[j:j + steps] for j in range(w)))) if w \
+            else [()] * steps
+        syms = list(map(self.symbols.get, keys))
+        if None in syms:
+            cur, at = x, 0  # the shift of x built last, and how far it is
+            for i in range(syms.index(None), steps):
+                if syms[i] is not None:
+                    continue
+                # a window missed twice in this call is stored at its first
+                sym = self.symbols.get(keys[i])
+                if sym is None:
+                    for _ in range(i - at):
+                        cur = shift(cur)
+                    at = i
+                    sym = self._store(keys[i], cur)
+                syms[i] = sym
         return syms
 
 
 def _approach_strategies(g: Ultragraph, x: Point, bounds: ProbeBounds):
-    """(label, sequence) pairs, where a sequence is a RepeatFamily or a
-    callable n -> point."""
-    out = [("constant", lambda n: x)]
+    """(label, sequence) pairs after the constant one, where a sequence is
+    a RepeatFamily or a callable n -> point."""
     if length(x) == INFINITE:
-        out.extend(_swerve_strategies(g, x))
-        out.extend(_truncate_strategy(g, x))
-    else:
-        out.extend(_escape_strategy(g, x, bounds))
-    return out
+        return _swerve_strategies(g, x) + _truncate_strategy(g, x)
+    return _escape_strategy(g, x, bounds)
 
 
 def _swerve_strategies(g, x):

@@ -233,6 +233,13 @@ class Ultragraph:
         """Whether ``nxt`` may follow ``prev`` on a path."""
         return self.source_in(nxt, self.range_of(prev))
 
+    def known_adjacent(self, edges) -> bool:
+        """Whether the ``adjacent`` memo already answers every consecutive
+        pair of ``edges`` True, read in one pass; False on any miss, so a
+        caller then asks pair by pair."""
+        memo = self._memos["adjacent"]
+        return all(map(memo.get, zip(edges, edges[1:])))
+
     # -- emitted edges ----------------------------------------------------
 
     def epsilon(self, vertices: SymbolicSet) -> SymbolicSet:

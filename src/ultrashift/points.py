@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .graphs import EdgeRef, MinimalEmitter, Ultragraph
+from .graphs import EdgeRef, GraphError, MinimalEmitter, Ultragraph
 from .intsets import INFINITE, IndexSet, SymbolicSet
 from .paths import PathError, Ultrapath, edges_adjacent
 from .verdicts import FAILS, HOLDS, UNKNOWN, Verdict
@@ -37,6 +37,8 @@ class FinitePoint:
 
 
 def _primitive(cycle: tuple) -> tuple:
+    if cycle.count(cycle[0]) == 1:
+        return cycle  # a proper power repeats its first symbol
     for p in range(1, len(cycle) + 1):
         if len(cycle) % p == 0 and cycle == cycle[:p] * (len(cycle) // p):
             return cycle[:p]
@@ -124,28 +126,41 @@ def shift_n(x: Point, n: int) -> Point:
 
 def validate_point(g: Ultragraph, x: Point) -> list[str]:
     """Problems with x as a point of the shift space of g; entries starting
-    with 'unknown:' are warnings from unsaturated closures."""
-    problems: list[str] = []
-    emitters, complete = g.minimal_infinite_emitters()
-    if isinstance(x, FinitePoint):
-        for prev, nxt in zip(x.path, x.path[1:]):
-            if not edges_adjacent(g, prev, nxt):
-                problems.append(f"{prev} does not connect to {nxt}")
-        if x.tail is None:
-            problems.append("finite points need a tail emitter")
-            return problems
-        pool = emitters if not x.path else \
-            g.range_emitters(x.path[-1])
-        if not any(m == x.tail for m in pool):
-            if complete:
-                problems.append(f"{x.tail} is not a legal tail here")
-            else:
-                problems.append(f"unknown: cannot certify tail {x.tail}")
+    with 'unknown:' are warnings from unsaturated closures.
+
+    The consecutive pairs of the path, or of the preamble and cycle with the
+    cycle's wrap, are first read in one pass from the graph's ``adjacent``
+    memo (``Ultragraph.known_adjacent``); on any miss each pair is asked in
+    turn, and each that does not connect is a problem.  An edge outside the
+    graph that this walk or the tail's range meets is the one problem, as
+    in ``validate_ultrapath``."""
+    legal, complete = g.minimal_infinite_emitters()  # tails of length 0
+    finite = isinstance(x, FinitePoint)
+    edges = x.path if finite else x.preamble + x.cycle + x.cycle[:1]
+    try:
+        if len(edges) > 1 and g.known_adjacent(edges):
+            problems = []
+        else:
+            problems = [f"{prev} does not connect to {nxt}"
+                        for prev, nxt in zip(edges, edges[1:])
+                        if not edges_adjacent(g, prev, nxt)]
+        if finite and x.path and x.tail is not None:
+            legal = g.range_emitters(x.path[-1])
+    except (GraphError, KeyError):
+        # an edge outside its family's domain, or of no family of g
+        missing = next((e for e in edges if not g.has_edge(e)), None)
+        if missing is None:
+            raise
+        return [f"edge {missing} does not exist"]
+    if not finite:
         return problems
-    wrapped = list(x.preamble) + list(x.cycle) + [x.cycle[0]]
-    for prev, nxt in zip(wrapped, wrapped[1:]):
-        if not edges_adjacent(g, prev, nxt):
-            problems.append(f"{prev} does not connect to {nxt}")
+    if x.tail is None:
+        problems.append("finite points need a tail emitter")
+    elif not any(m == x.tail for m in legal):
+        if complete:
+            problems.append(f"{x.tail} is not a legal tail here")
+        else:
+            problems.append(f"unknown: cannot certify tail {x.tail}")
     return problems
 
 
@@ -274,6 +289,12 @@ class ConvergenceBounds:
     n_max: int = 32
     f_list: tuple = ()  # finite excluded edge sets for the finite-target case
 
+    def __post_init__(self):
+        # no term or no depth to read would leave nothing to check
+        if self.m_max < 1 or self.n_max < 1:
+            raise PointError("convergence bounds m_max and n_max must be "
+                             "at least 1")
+
     def as_dict(self) -> dict:
         return {"m_max": self.m_max, "n_max": self.n_max,
                 "f_list": [str(F) for F in self.f_list]}
@@ -372,6 +393,8 @@ def _agreement(x: Point, goal: tuple) -> int:
     """How many leading coordinates of x equal those of goal, counting no
     further than x's length."""
     head = prefix(x, min(len(goal), length(x)))
+    if head == goal[:len(head)]:
+        return len(head)
     for k, sym in enumerate(head):
         if sym != goal[k]:
             return k

@@ -235,6 +235,26 @@ def test_reversed_spans_are_empty_intervals(clause, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_an_image_edge_outside_its_family_domain_fails_the_eval(tmp_path,
+                                                                 capsys):
+    # PhiInfinite edited to send f[1] to e[0], while H's family e starts at 1
+    text = (DOCS[0].parent / "example_c.ug").read_text()
+    head, phi = text.split("map PhiInfinite", 1)
+    edited = phi.replace("class e[j] for j in >=2 { pc 1..1 : f[j-1] }",
+                         "class e[j] for j in >=0 { pc 1..1 : f[j+1] }", 1)
+    assert edited != phi
+    doc = tmp_path / "example_c.ug"
+    doc.write_text(head + "map PhiInfinite" + edited)
+    assert main(["eval", str(doc), "--map", "PhiInfinite", "--point",
+                 "inf: (f[1])*", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    [record] = json.loads(captured.out)["records"]
+    assert record["status"] == "fails"
+    assert record["detail"] == ("image ((e[0])* ...) is not a point of the "
+                                "target shift: edge e[0] does not exist")
+
+
 def test_printed_schemas_parse_back():
     # one schema for each of the DSL's domain forms: >=a, <=a, a..b, a,b,c,
     # all of Z, and unions with unbounded spans
