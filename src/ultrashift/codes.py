@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .definable import (PcSchema, LitAtom, VarAtom, expand_rep,
                         match_atoms, match_schema)
+from . import graphs
 from .graphs import EdgeRef, MinimalEmitter, Ultragraph
 from .intsets import AffineIndexMap, IDENTITY_MAP, INFINITE, IndexSet, SymbolicSet
 from .paths import Block
@@ -38,6 +39,7 @@ from .points import (
     coordinate,
     length,
     prefix,
+    prepend,
     shift,
     shift_n,
     validate_point,
@@ -154,13 +156,33 @@ class OracleClass:
         return f"oracle class {self.label}"
 
 
+class _SymbolTable(dict):
+    """First image symbols by key.  ``emitted`` tells whether an emitter
+    symbol was ever stored: only then can an image hold one.  The table is
+    emptied when it holds ``graphs.EDGE_MEMO_CAP`` answers, as a graph's
+    memos are."""
+
+    emitted = False
+
+    def store(self, key, sym):
+        if len(self) >= graphs.EDGE_MEMO_CAP:
+            self.clear()
+        self[key] = sym
+        if isinstance(sym, MinimalEmitter):
+            self.emitted = True
+        return sym
+
+
 class MapPresentation:
     """A shift commuting map defined coordinatewise by a partition.
 
     ``window`` is the last coordinate any body schema reads, so the first
     image symbol of a point depends on its first ``window`` coordinates
     only; it is None when a class is an oracle or a schema repeats an
-    atom.  ``symbol_at`` walks the classes in order."""
+    atom.  ``symbol_at`` walks the classes in order.  A map with a window
+    owns the table ``symbols`` from windows to first image symbols, which
+    every probe of the map reads and fills (``_ProbeMemo``): the classes
+    are fixed once the map is built, so a window's symbol is too."""
 
     def __init__(self, source: Ultragraph, target: Ultragraph, classes,
                  label: str = "map"):
@@ -169,6 +191,7 @@ class MapPresentation:
         self.classes = tuple(classes)
         self.label = label
         self.window = _schema_window(self.classes)
+        self.symbols = _SymbolTable() if self.window is not None else None
 
     def symbol_at(self, x: Point):
         found = []
@@ -228,7 +251,29 @@ def class_membership_oracle(phi, sym):
 
 
 def _try_point(g: Ultragraph, syms: tuple):
-    """A valid point carrying the given symbols at position 1, or None."""
+    """A valid point carrying the given symbols at position 1, or None.
+
+    ``block_witness`` extends a block of edges from its last edge alone,
+    so its point is the block's other edges followed by the point of that
+    last edge, and its problems are the block's pairs and that point's.
+    When the graph's ``adjacent`` memo already answers every pair of the
+    block True, the answer for the last edge, memoized per graph, is
+    therefore the answer for the block; any other block is built and
+    validated in full."""
+    last = syms[-1]
+    if not isinstance(last, MinimalEmitter) and g.known_adjacent(syms):
+        w = _edge_point(g, last)
+        return None if w is None else prepend(tuple(syms[:-1]), w)
+    return _valid_witness(g, syms)
+
+
+@graphs.memoized
+def _edge_point(g: Ultragraph, e: EdgeRef):
+    """``_try_point(g, (e,))``, kept in the graph's memos."""
+    return _valid_witness(g, (e,))
+
+
+def _valid_witness(g: Ultragraph, syms: tuple):
     w = block_witness(g, Block(tuple(syms)), 8)
     return None if w is None or _problems(g, w) else w
 
@@ -1067,8 +1112,11 @@ class ProbeBounds:
             raise MapError("probe bound n_max must be at least 1")
 
     def as_dict(self):
-        # index_bound: the bound _try_point builds approach points with
-        return {"n_max": self.n_max, "index_bound": 8, **self.conv.as_dict()}
+        # probe_n_max sizes the escape strategy's edge sample, and n_max is
+        # the convergence bound's; index_bound: the bound _try_point builds
+        # approach points with
+        return {"probe_n_max": self.n_max, "index_bound": 8,
+                **self.conv.as_dict()}
 
 
 def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
@@ -1076,13 +1124,25 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     """Drive sequences converging to x through the map and test whether the
     images converge to the image of x.  A failure produces the witness
     sequence, the stuck image symbols, and the separating excluded set.
+    An image of x that the map cannot evaluate gives "unknown" at once.  An
+    approach term whose image it cannot evaluate leaves that strategy
+    undecided, with a note naming the term and the error, and the probe
+    goes on: a later strategy's failure still decides, and otherwise the
+    verdict is "unknown" with the first such term as its witness.
 
     The first strategy, the constant sequence x, x, ..., holds by
     construction and is not evaluated: with at least one term and one depth
     (``ConvergenceBounds`` refuses fewer) it meets every agreement and
-    escape condition at x, and its images are the target itself.  The
-    approach strategies are deterministic: ``rng`` is accepted for callers
-    that pass one and does not affect the verdict."""
+    escape condition at x, and its images are the target itself.  At an
+    infinite x the other strategies converge to x by construction as well
+    when ``m_max <= n_max``: term n of each agrees with x on at least n
+    coordinates (a swerve carries the first n edges of x, or whole cycles,
+    before it turns away; a truncation keeps n edges of x; a strategy that
+    finds no other point falls back to x), so every agreement condition up
+    to ``m_max`` holds from term ``m_max`` on, and the inward check is
+    skipped.  With ``m_max > n_max``, or at a finite x, it is read as
+    before.  The approach strategies are deterministic: ``rng`` is accepted
+    for callers that pass one and does not affect the verdict."""
     bounds = bounds or ProbeBounds()
     g = phi.source
     # every evaluation of this probe reads one memo, dropped on return
@@ -1093,21 +1153,36 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
         return Verdict("probe-continuity", UNKNOWN, str(err), x)
     worst = HOLDS
     notes = ["constant: images converge"]
+    inward_holds = length(x) == INFINITE and \
+        bounds.conv.m_max <= bounds.conv.n_max
+    unplaced = []  # the terms whose image raised, in order
     strategies = _approach_strategies(g, x, bounds)
     for label, seq in strategies:
         repeat = isinstance(seq, RepeatFamily)
         term = functools.cache(seq.at if repeat else seq)
         # repeat families go in as they are, so their verdicts stay exact
-        inward = check_convergence(g, seq if repeat else term, x, bounds.conv)
-        if inward.status != HOLDS:
+        if not inward_holds and check_convergence(
+                g, seq if repeat else term, x, bounds.conv).status != HOLDS:
             continue  # the strategy did not produce a convergent sequence
 
         def images(n, term=term):
-            return eval_resolved(phi, term(n))
+            try:
+                return eval_resolved(phi, term(n))
+            except MapError:
+                unplaced.append(term(n))
+                raise
 
-        outward = check_convergence(phi.target, images, target, bounds.conv)
+        try:
+            outward = check_convergence(phi.target, images, target,
+                                        bounds.conv)
+        except MapError as err:
+            worst = UNKNOWN
+            notes.append(f"{label}: image of {unplaced[-1]} cannot be "
+                         f"evaluated: {err}")
+            continue
         if outward.status == FAILS:
-            terms = [term(n) for n in (1, 2, 3)]
+            # up to three terms the check read, whose images are known
+            terms = [term(n) for n in range(1, min(3, bounds.conv.n_max) + 1)]
             return Verdict(
                 "probe-continuity", FAILS,
                 f"strategy '{label}': inputs converge to {x} but images "
@@ -1122,30 +1197,37 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
         else:
             notes.append(f"{label}: images converge"
                          + (" (exact)" if outward.exact else ""))
-    return Verdict("probe-continuity", worst, "; ".join(notes), None,
-                   bounds.as_dict())
+    return Verdict("probe-continuity", worst, "; ".join(notes),
+                   unplaced[0] if unplaced else None, bounds.as_dict())
 
 
 class _ProbeMemo:
     """A map whose first-coordinate symbols and resolved images are
-    memoized for one probe.  The orbits of one probe's approach terms
+    memoized for a probe.  The orbits of one probe's approach terms
     overlap (the shifts of block^n + tail include block^(n-1) + tail), so
     their evaluations share most symbols.  When the map has a window,
     ``eval_map`` reads the symbols through ``window_symbols``, keyed by the
     coordinates in each step's window, which all points that agree there
-    share, and looked up for all steps in one pass.  Otherwise symbols are
-    keyed by the whole point, and ``eval_map`` splices a stored image onto
-    the symbols before it.  Images are keyed by the whole point; failed
-    images are not memoized.  ``emitted`` tells whether an emitter symbol
-    was stored: only then can an image hold one."""
+    share, and looked up for all steps in one pass; the table is the map's
+    own (``MapPresentation.symbols``), so every probe of the map reads what
+    earlier probes stored.  Otherwise symbols are keyed by the whole point
+    in a table of this probe, and ``eval_map`` splices a stored image onto
+    the symbols before it.  Images are keyed by the whole point and kept
+    for this probe; failed images are not memoized.  ``emitted`` tells
+    whether the symbol table stored an emitter symbol: only then can an
+    image hold one."""
 
     def __init__(self, phi):
         self.phi = phi
         self.target = phi.target
         self.window = getattr(phi, "window", None)
-        self.symbols: dict = {}
+        self.symbols = phi.symbols if self.window is not None \
+            else _SymbolTable()
         self.images: dict = {}
-        self.emitted = False
+
+    @property
+    def emitted(self) -> bool:
+        return self.symbols.emitted
 
     @staticmethod
     def key(x: Point):
@@ -1154,23 +1236,21 @@ class _ProbeMemo:
         return x if isinstance(x, PeriodicPoint) else \
             (x, getattr(x.tail, "name", None))
 
-    def _store(self, key, x: Point):
-        sym = self.symbols[key] = self.phi.symbol_at(x)
-        self.emitted = self.emitted or isinstance(sym, MinimalEmitter)
-        return sym
-
     def symbol_at(self, x: Point):
+        # for a map without a window; one with a window is read through
+        # window_symbols, since its table is keyed by windows
         key = self.key(x)
         sym = self.symbols.get(key)
-        return sym if sym is not None else self._store(key, x)
+        return sym if sym is not None else \
+            self.symbols.store(key, self.phi.symbol_at(x))
 
     def window_symbols(self, x: Point, steps: int) -> list:
         """The first image symbols of x and its next ``steps - 1`` shifts,
         for a map with a window w: the symbol at step i depends on the
         coordinates x_{i+1}..x_{i+w} only, so the first steps + w - 1
         coordinates are read once, every step's window is looked up in one
-        pass, and a shifted point is built only for a window not seen
-        before in this probe, in order of the steps."""
+        pass, and a shifted point is built only for a window not in the
+        map's table, in order of the steps."""
         w = self.window
         coords = prefix(x, steps + w - 1)
         # with w = 0 no schema reads a coordinate and every key is ()
@@ -1188,7 +1268,7 @@ class _ProbeMemo:
                     for _ in range(i - at):
                         cur = shift(cur)
                     at = i
-                    sym = self._store(keys[i], cur)
+                    sym = self.symbols.store(keys[i], self.phi.symbol_at(cur))
                 syms[i] = sym
         return syms
 

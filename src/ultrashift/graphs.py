@@ -47,14 +47,15 @@ EDGE_MEMO_CAP = 1 << 14
 _MISS = object()
 
 
-def _memoized(query):
-    """Memoize a graph query in ``graph._memos[query name]``, keyed by its
+def memoized(query):
+    """Memoize a graph query, a method or a function whose first argument
+    is the graph, in ``graph._memos[query name]``, keyed by its other
     positional arguments and emptied when it holds ``EDGE_MEMO_CAP``
     answers."""
     name = query.__name__
 
     @functools.wraps(query)
-    def memoized(self, *args):
+    def answer(self, *args):
         memo = self._memos[name]
         got = memo.get(args, _MISS)
         if got is _MISS:
@@ -62,7 +63,7 @@ def _memoized(query):
                 memo.clear()
             got = memo[args] = query(self, *args)
         return got
-    return memoized
+    return answer
 
 
 class GraphError(ValueError):
@@ -188,7 +189,7 @@ class Ultragraph:
                 for vf, _ in rc.atoms:
                     if vf not in self.vertex_families:
                         raise GraphError(f"unknown vertex family {vf}")
-        self._memos = defaultdict(dict)  # filled by @_memoized queries
+        self._memos = defaultdict(dict)  # filled by @memoized queries
 
     # -- elementary queries --------------------------------------------
 
@@ -206,7 +207,7 @@ class Ultragraph:
         return SymbolicSet.of(*((f, ef.domain)
                                 for f, ef in self.edge_families.items()))
 
-    @_memoized
+    @memoized
     def source(self, e: EdgeRef) -> tuple[str, int]:
         ef = self.edge_families[e.family]
         for sc in ef.source:
@@ -214,7 +215,7 @@ class Ultragraph:
                 return sc.vfamily, sc.map.apply(e.index)
         raise GraphError(f"edge {e} outside its family domain")
 
-    @_memoized
+    @memoized
     def range_of(self, e: EdgeRef) -> SymbolicSet:
         ef = self.edge_families[e.family]
         for rc in ef.ranges:
@@ -228,7 +229,7 @@ class Ultragraph:
         vf, k = self.source(e)
         return vertices.contains(vf, k)
 
-    @_memoized
+    @memoized
     def adjacent(self, prev: EdgeRef, nxt: EdgeRef) -> bool:
         """Whether ``nxt`` may follow ``prev`` on a path."""
         return self.source_in(nxt, self.range_of(prev))
@@ -266,18 +267,18 @@ class Ultragraph:
                         self.vertex_families[vf])))
         return SymbolicSet.of(*parts)
 
-    @_memoized
+    @memoized
     def successor_edges(self, e: EdgeRef) -> SymbolicSet:
         """Edges that may follow ``e`` on a path."""
         return self.epsilon(self.range_of(e))
 
-    @_memoized
+    @memoized
     def successor_sample(self, e: EdgeRef, k: int) -> tuple:
         """``successor_edges(e).sample(k)`` as a tuple of EdgeRefs."""
         return tuple(EdgeRef(fam, idx)
                      for fam, idx in self.successor_edges(e).sample(k))
 
-    @_memoized
+    @memoized
     def bounded_successors(self, e: EdgeRef, bound: int,
                            widen: int = 0) -> tuple:
         """``bounded_edges`` of the successor edges of ``e``, as a tuple."""
@@ -298,7 +299,7 @@ class Ultragraph:
 
     # -- canonical shapes -----------------------------------------------
 
-    @_memoized
+    @memoized
     def canonical_shapes(self) -> tuple[list[Shape], bool]:
         """Range cases rewritten so parameter guards are infinite (or large),
         all atoms have nonzero scale, never land in the constant part, and
@@ -389,7 +390,7 @@ class Ultragraph:
 
     # -- closure and algebra membership -----------------------------------
 
-    @_memoized
+    @memoized
     def cores(self):
         """Closure under intersection of the constant parts of canonical
         shapes.  Every finite intersection of edge ranges equals one of
@@ -422,7 +423,7 @@ class Ultragraph:
                 work.append(item)
         return seeds, saturated
 
-    @_memoized
+    @memoized
     def range_intersection_closure(self):
         """Closure of the canonical range shapes under pairwise
         intersection, computed schematically over the index parameters.
@@ -545,7 +546,7 @@ class Ultragraph:
 
     # -- minimal infinite emitters ----------------------------------------
 
-    @_memoized
+    @memoized
     def minimal_infinite_emitters(self):
         """All minimal infinite emitters, with certificates.
 
@@ -578,7 +579,7 @@ class Ultragraph:
         emitters, complete = self.minimal_infinite_emitters()
         return [m for m in emitters if m.vertices.subset_of(vertices)], complete
 
-    @_memoized
+    @memoized
     def range_emitters(self, e: EdgeRef):
         """The minimal infinite emitters contained in r(e), as a tuple."""
         return tuple(self.minimal_emitters_in(self.range_of(e))[0])

@@ -179,11 +179,16 @@ def concat(g: Ultragraph, x: Ultrapath, y: Point) -> Point:
         first = coordinate(y, 1)
         if not g.source_in(first, r):
             raise PathError(f"source of {first} not in {r}")
-    if not x.edges:
+    return prepend(x.edges, y)
+
+
+def prepend(edges: tuple, y: Point) -> Point:
+    """The point that reads ``edges`` and then y, unchecked."""
+    if not edges:
         return y
     if isinstance(y, FinitePoint):
-        return FinitePoint(x.edges + y.path, y.tail)
-    return PeriodicPoint(x.edges + y.preamble, y.cycle)
+        return FinitePoint(edges + y.path, y.tail)
+    return PeriodicPoint(edges + y.preamble, y.cycle)
 
 
 def is_prefix(g: Ultragraph, y: Ultrapath, x):
@@ -312,10 +317,7 @@ class RepeatFamily:
     label: str = "repeat family"
 
     def at(self, n: int) -> Point:
-        pre = self.block * n
-        if isinstance(self.tail, FinitePoint):
-            return FinitePoint(pre + self.tail.path, self.tail.tail)
-        return PeriodicPoint(pre + self.tail.preamble, self.tail.cycle)
+        return prepend(self.block * n, self.tail)
 
 
 def check_convergence(g: Ultragraph, seq, target: Point,

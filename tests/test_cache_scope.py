@@ -1,4 +1,5 @@
-"""Guard: caches live on a graph or inside one verdict, never in a module.
+"""Guard: caches live on a graph, a map or inside one verdict, never in a
+module.
 
 A module-level memo would outlive the graphs and maps whose answers it
 holds, and would keep growing across unrelated verdicts."""

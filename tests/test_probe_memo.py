@@ -18,6 +18,7 @@ from ultrashift.codes import (
     RuleMap,
     SchemaClass,
     _ProbeMemo,
+    _SymbolTable,
     eval_map,
     probe_continuity,
 )
@@ -210,6 +211,9 @@ class _Counting:
         self.phi, self.asked = phi, []
         self.source, self.target, self.window = \
             phi.source, phi.target, phi.window
+        # a window table of its own, so it is asked for every window that
+        # this wrapper has not stored yet
+        self.symbols = _SymbolTable()
 
     def symbol_at(self, x):
         self.asked.append(x)
