@@ -28,6 +28,7 @@ from .graphs import EdgeRef, MinimalEmitter, Ultragraph
 from .intsets import AffineIndexMap, IDENTITY_MAP, INFINITE, IndexSet, SymbolicSet
 from .paths import Block
 from .points import (
+    WITNESS_INDEX_BOUND,
     PointError,
     FinitePoint,
     PeriodicPoint,
@@ -49,6 +50,9 @@ from .verdicts import FAILS, HOLDS, NOT_APPLICABLE, UNKNOWN, Verdict
 # edges sampled where a map is known only by sampling (oracle classes,
 # rule maps); items ii, iia, iib and length-preserving echo it as "tries"
 SAMPLE_TRIES = 24
+# shifts after which validate_partition finds an emitter class still
+# invariant; it echoes it as "depth"
+PARTITION_DEPTH = 8
 
 
 class MapError(ValueError):
@@ -157,20 +161,24 @@ class OracleClass:
 
 
 class _SymbolTable(dict):
-    """First image symbols by key.  ``emitted`` tells whether an emitter
-    symbol was ever stored: only then can an image hold one.  The table is
-    emptied when it holds ``graphs.EDGE_MEMO_CAP`` answers, as a graph's
-    memos are."""
+    """The one table a map owns, read by every evaluation of the map.  The
+    map's ``window`` picks the kind: with a window, keys are windows (the
+    first ``window`` coordinates of a point) and values first image
+    symbols, and ``emitted`` tells whether an emitter symbol was ever
+    stored: only then can an image hold one.  Without a window, keys are
+    whole points (``_point_key``) and values their resolved
+    ``EvalResult``.  The table is emptied when it holds
+    ``graphs.EDGE_MEMO_CAP`` answers, as a graph's memos are."""
 
     emitted = False
 
-    def store(self, key, sym):
+    def store(self, key, value):
         if len(self) >= graphs.EDGE_MEMO_CAP:
             self.clear()
-        self[key] = sym
-        if isinstance(sym, MinimalEmitter):
+        self[key] = value
+        if isinstance(value, MinimalEmitter):
             self.emitted = True
-        return sym
+        return value
 
 
 class MapPresentation:
@@ -179,10 +187,11 @@ class MapPresentation:
     ``window`` is the last coordinate any body schema reads, so the first
     image symbol of a point depends on its first ``window`` coordinates
     only; it is None when a class is an oracle or a schema repeats an
-    atom.  ``symbol_at`` walks the classes in order.  A map with a window
-    owns the table ``symbols`` from windows to first image symbols, which
-    every probe of the map reads and fills (``_ProbeMemo``): the classes
-    are fixed once the map is built, so a window's symbol is too."""
+    atom.  ``symbol_at`` walks the classes in order.  The map owns one
+    table (``_SymbolTable``) that every evaluation reads and fills: first
+    image symbols by window when the map has a window, resolved images by
+    whole point when it has none.  The classes are fixed once the map is
+    built, so what the table holds stays true for the map's lifetime."""
 
     def __init__(self, source: Ultragraph, target: Ultragraph, classes,
                  label: str = "map"):
@@ -191,7 +200,7 @@ class MapPresentation:
         self.classes = tuple(classes)
         self.label = label
         self.window = _schema_window(self.classes)
-        self.symbols = _SymbolTable() if self.window is not None else None
+        self.table = _SymbolTable()
 
     def symbol_at(self, x: Point):
         found = []
@@ -222,7 +231,10 @@ def _schema_window(classes) -> int | None:
 
 
 class RuleMap:
-    """A shift commuting map given by a first-coordinate rule."""
+    """A shift commuting map given by a first-coordinate rule.  A rule
+    reads the whole point, so the map has no window, and its one table
+    holds resolved images by whole point; the rule must be a function of
+    the point alone."""
 
     def __init__(self, source: Ultragraph, target: Ultragraph, rule,
                  label: str = "rule map"):
@@ -231,6 +243,7 @@ class RuleMap:
         self.rule = rule
         self.classes = ()
         self.window = None
+        self.table = _SymbolTable()
         self.label = label
 
     def symbol_at(self, x: Point):
@@ -274,7 +287,7 @@ def _edge_point(g: Ultragraph, e: EdgeRef):
 
 
 def _valid_witness(g: Ultragraph, syms: tuple):
-    w = block_witness(g, Block(tuple(syms)), 8)
+    w = block_witness(g, Block(tuple(syms)), WITNESS_INDEX_BOUND)
     return None if w is None or _problems(g, w) else w
 
 
@@ -286,8 +299,11 @@ def _problems(g: Ultragraph, x: Point) -> list:
 # -- evaluation ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EvalResult:
+    """The first image symbols of a point's orbit and its resolved image;
+    frozen, since a map's table hands one result to every caller."""
+
     prefix: tuple
     resolved: Point
 
@@ -310,28 +326,28 @@ def eval_map(phi, x: Point) -> EvalResult:
     Every point is finite or eventually periodic, so its orbit reaches a
     fixed point or closes a cycle, and the image resolves exactly: a finite
     point (when an emitter symbol appears, which must then persist) or an
-    eventually periodic point.  Under a probe's memo (``_ProbeMemo``) a
-    stored image of x is returned as it is; otherwise a map with a window
-    reads the symbols through ``_ProbeMemo.window_symbols``, and any other
-    map walks the orbit and splices on a stored image of a shift.  Under
-    the memo the symbols are scanned for an emitter only once the probe has
-    stored one.  A periodic image whose pairs of consecutive symbols the
-    target's ``adjacent`` memo already answers True is a point of the
-    target; any other image is validated in full."""
+    eventually periodic point.  Every call reads the map's one table
+    (``_SymbolTable``).  A map with a window reads each step's symbol by
+    its window (``_window_symbols``), and scans the symbols for an emitter
+    only once its table has stored one.  A map without a window returns a
+    stored image of x as it is; otherwise it walks the orbit, splices on a
+    stored image of a shift, and stores the image of x.  A periodic image
+    whose pairs of consecutive symbols the target's ``adjacent`` memo
+    already answers True is a point of the target; any other image is
+    validated in full."""
     m, steps = _orbit_closure(x)
-    memo = phi if isinstance(phi, _ProbeMemo) else None
-    if memo is not None:
-        key = memo.key(x)
-        known = memo.images.get(key)
+    table = phi.table
+    if phi.window is None:
+        key = _point_key(x)
+        known = table.get(key)
         if known is not None:
-            return known  # x itself was evaluated in this probe
-        syms = memo.window_symbols(x, steps) if memo.window is not None \
-            else _orbit_symbols(phi, x, steps, memo)
+            return known
+        syms = _orbit_symbols(phi, x, steps)
     else:
-        syms = _orbit_symbols(phi, x, steps, None)
-    emitter_at = None if memo is not None and not memo.emitted else next(
-        (i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)),
-        None)
+        syms = _window_symbols(phi, x, steps)
+    emitter_at = None if phi.window is not None and not table.emitted else \
+        next((i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)),
+             None)
     if emitter_at is not None:
         tail = syms[emitter_at]
         # once the orbit closes at (m, m + p), checking the computed symbols
@@ -353,29 +369,64 @@ def eval_map(phi, x: Point) -> EvalResult:
         if not phi.target.known_adjacent(syms + [syms[m]]):
             _check_output(phi.target, out)
     res = EvalResult(tuple(syms), out)
-    if memo is not None:
-        memo.images[key] = res
+    if phi.window is None:
+        table.store(key, res)
     return res
 
 
-def _orbit_symbols(phi, x: Point, steps: int, memo) -> list:
-    """The first image symbols of x and its next ``steps - 1`` shifts.
-    With a probe's memo, the walk ends at the first shift whose image is
-    stored, unless an emitter symbol came before it."""
+def _point_key(x: Point):
+    """A point as a key of an image table: equal finite points may name
+    their tails differently, and a rule may hand the tail back, so the
+    name is part of the key."""
+    return x if isinstance(x, PeriodicPoint) else \
+        (x, getattr(x.tail, "name", None))
+
+
+def _orbit_symbols(phi, x: Point, steps: int) -> list:
+    """The first image symbols of x and its next ``steps - 1`` shifts, for
+    a map without a window.  The walk ends at the first shift whose image
+    the map's table holds: only images the map could evaluate are stored,
+    so their symbols are the ones the walk would ask for."""
     syms: list = []
     cur = x
-    emitted = False
     for i in range(steps):
-        if i and memo is not None and not emitted:
-            known = memo.images.get(memo.key(cur))
+        if i:
+            known = phi.table.get(_point_key(cur))
             if known is not None:
                 # the image of x is syms followed by the image of its i-th
                 # shift, whose walk covers the remaining steps
                 return syms + list(known.prefix[:steps - i])
-        sym = phi.symbol_at(cur)
-        emitted = emitted or isinstance(sym, MinimalEmitter)
-        syms.append(sym)
+        syms.append(phi.symbol_at(cur))
         cur = shift(cur)
+    return syms
+
+
+def _window_symbols(phi, x: Point, steps: int) -> list:
+    """The first image symbols of x and its next ``steps - 1`` shifts, for
+    a map with a window w: the symbol at step i depends on the coordinates
+    x_{i+1}..x_{i+w} only, so the first steps + w - 1 coordinates are read
+    once, every step's window is looked up in the map's table in one pass,
+    and a shifted point is built only for a window not in the table, in
+    order of the steps."""
+    w, table = phi.window, phi.table
+    coords = prefix(x, steps + w - 1)
+    # with w = 0 no schema reads a coordinate and every key is ()
+    keys = list(zip(*(coords[j:j + steps] for j in range(w)))) if w \
+        else [()] * steps
+    syms = list(map(table.get, keys))
+    if None in syms:
+        cur, at = x, 0  # the shift of x built last, and how far it is
+        for i in range(syms.index(None), steps):
+            if syms[i] is not None:
+                continue
+            # a window missed twice in this call is stored at its first
+            sym = table.get(keys[i])
+            if sym is None:
+                for _ in range(i - at):
+                    cur = shift(cur)
+                at = i
+                sym = table.store(keys[i], phi.symbol_at(cur))
+            syms[i] = sym
     return syms
 
 
@@ -406,7 +457,7 @@ def validate_partition(phi, samples) -> Verdict:
             return Verdict("partition", FAILS, str(err), x)
         if isinstance(sym, MinimalEmitter):
             cur = x
-            for i in range(8):
+            for _ in range(PARTITION_DEPTH):
                 cur = shift(cur)
                 try:
                     again = phi.symbol_at(cur)
@@ -417,7 +468,8 @@ def validate_partition(phi, samples) -> Verdict:
                         "partition", FAILS,
                         f"class of {sym} is not shift invariant", x)
     return Verdict("partition", HOLDS, f"{len(samples)} samples",
-                   bounds={"samples": len(samples), "depth": 8})
+                   bounds={"samples": len(samples),
+                           "depth": PARTITION_DEPTH})
 
 
 # -- commutation and periods ------------------------------------------------------
@@ -1115,7 +1167,8 @@ class ProbeBounds:
         # probe_n_max sizes the escape strategy's edge sample, and n_max is
         # the convergence bound's; index_bound: the bound _try_point builds
         # approach points with
-        return {"probe_n_max": self.n_max, "index_bound": 8,
+        return {"probe_n_max": self.n_max,
+                "index_bound": WITNESS_INDEX_BOUND,
                 **self.conv.as_dict()}
 
 
@@ -1142,11 +1195,13 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     to ``m_max`` holds from term ``m_max`` on, and the inward check is
     skipped.  With ``m_max > n_max``, or at a finite x, it is read as
     before.  The approach strategies are deterministic: ``rng`` is accepted
-    for callers that pass one and does not affect the verdict."""
+    for callers that pass one and does not affect the verdict.
+
+    Every evaluation of the probe reads the map's one table, so it reads
+    what earlier evaluations of the map stored, in probes or not, and
+    leaves what it stores for later ones."""
     bounds = bounds or ProbeBounds()
     g = phi.source
-    # every evaluation of this probe reads one memo, dropped on return
-    phi = _ProbeMemo(phi)
     try:
         target = eval_resolved(phi, x)
     except MapError as err:
@@ -1199,78 +1254,6 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
                          + (" (exact)" if outward.exact else ""))
     return Verdict("probe-continuity", worst, "; ".join(notes),
                    unplaced[0] if unplaced else None, bounds.as_dict())
-
-
-class _ProbeMemo:
-    """A map whose first-coordinate symbols and resolved images are
-    memoized for a probe.  The orbits of one probe's approach terms
-    overlap (the shifts of block^n + tail include block^(n-1) + tail), so
-    their evaluations share most symbols.  When the map has a window,
-    ``eval_map`` reads the symbols through ``window_symbols``, keyed by the
-    coordinates in each step's window, which all points that agree there
-    share, and looked up for all steps in one pass; the table is the map's
-    own (``MapPresentation.symbols``), so every probe of the map reads what
-    earlier probes stored.  Otherwise symbols are keyed by the whole point
-    in a table of this probe, and ``eval_map`` splices a stored image onto
-    the symbols before it.  Images are keyed by the whole point and kept
-    for this probe; failed images are not memoized.  ``emitted`` tells
-    whether the symbol table stored an emitter symbol: only then can an
-    image hold one."""
-
-    def __init__(self, phi):
-        self.phi = phi
-        self.target = phi.target
-        self.window = getattr(phi, "window", None)
-        self.symbols = phi.symbols if self.window is not None \
-            else _SymbolTable()
-        self.images: dict = {}
-
-    @property
-    def emitted(self) -> bool:
-        return self.symbols.emitted
-
-    @staticmethod
-    def key(x: Point):
-        # equal finite points may name their tails differently, and a rule
-        # may hand the tail back, so the name is part of the key
-        return x if isinstance(x, PeriodicPoint) else \
-            (x, getattr(x.tail, "name", None))
-
-    def symbol_at(self, x: Point):
-        # for a map without a window; one with a window is read through
-        # window_symbols, since its table is keyed by windows
-        key = self.key(x)
-        sym = self.symbols.get(key)
-        return sym if sym is not None else \
-            self.symbols.store(key, self.phi.symbol_at(x))
-
-    def window_symbols(self, x: Point, steps: int) -> list:
-        """The first image symbols of x and its next ``steps - 1`` shifts,
-        for a map with a window w: the symbol at step i depends on the
-        coordinates x_{i+1}..x_{i+w} only, so the first steps + w - 1
-        coordinates are read once, every step's window is looked up in one
-        pass, and a shifted point is built only for a window not in the
-        map's table, in order of the steps."""
-        w = self.window
-        coords = prefix(x, steps + w - 1)
-        # with w = 0 no schema reads a coordinate and every key is ()
-        keys = list(zip(*(coords[j:j + steps] for j in range(w)))) if w \
-            else [()] * steps
-        syms = list(map(self.symbols.get, keys))
-        if None in syms:
-            cur, at = x, 0  # the shift of x built last, and how far it is
-            for i in range(syms.index(None), steps):
-                if syms[i] is not None:
-                    continue
-                # a window missed twice in this call is stored at its first
-                sym = self.symbols.get(keys[i])
-                if sym is None:
-                    for _ in range(i - at):
-                        cur = shift(cur)
-                    at = i
-                    sym = self.symbols.store(keys[i], self.phi.symbol_at(cur))
-                syms[i] = sym
-        return syms
 
 
 def _approach_strategies(g: Ultragraph, x: Point, bounds: ProbeBounds):

@@ -440,8 +440,14 @@ def _default_f_list(g: Ultragraph, target: FinitePoint):
 # -- witnesses for blocks ------------------------------------------------------
 
 
+# successors sampled per step when block_witness extends a block; a
+# continuity probe builds its approach points with it and echoes it as
+# "index_bound"
+WITNESS_INDEX_BOUND = 8
+
+
 def block_witness(g: Ultragraph, block,
-                  index_bound: int = 8) -> Point | None:
+                  index_bound: int = WITNESS_INDEX_BOUND) -> Point | None:
     """A point carrying the block at position 1, built constructively:
     either the block already ends in an emitter tail, or the trailing edge
     is extended until an edge repeats (periodic closure) or an emitter tail

@@ -1,6 +1,7 @@
 """The bulk paths of a probe change no answer: adjacency read from the
-graph's memo in one pass, the window walk that looks up every step at once,
-and the canonical-form shortcuts equal the per-item walks they replace; the
+graph's memo in one pass, the window walk that looks up every step at once
+(equal to the reference walk of ``test_codes._reference_walk``), and the
+canonical-form shortcuts equal the per-item walks they replace; the
 constant approach strategy, which a probe no longer evaluates, holds at
 every point; and bounds that bound nothing are refused."""
 
@@ -10,16 +11,15 @@ import pytest
 
 from helpers_random import mirror_map, random_family_graph
 from test_acceptance import _window_map
-from test_probe_memo import _Counting
+from test_codes import CAPS, _asking, _cap, _fresh, _reference_walk
 from ultrashift import graphs, sampling
 from ultrashift.codes import (
     MapError,
     MapPresentation,
     ProbeBounds,
     SchemaClass,
-    _ProbeMemo,
     _orbit_closure,
-    _orbit_symbols,
+    _window_symbols,
     eval_map,
     probe_continuity,
 )
@@ -194,7 +194,9 @@ def _stuttered(x):
     return PeriodicPoint(a * 3 + x.preamble, x.cycle)
 
 
-def test_window_walk_equals_the_orbit_walk():
+@CAPS
+def test_window_walk_equals_the_reference_walk(cap, monkeypatch):
+    _cap(monkeypatch, cap)
     rng = random.Random(67)
     compared = emitters = 0
     windows = set()
@@ -207,27 +209,30 @@ def test_window_walk_equals_the_orbit_walk():
             [_window_map(g, h, w) for w in (1, 2)]
         for phi in maps:
             windows.add(phi.window)
-            counting = _Counting(phi)
-            memo = _ProbeMemo(counting)
+            asked = _asking(phi)
             for x in pool:
                 for k in (2, 0, 1):  # shifts first, then x, then a repeat
                     y = shift_n(x, k)
                     steps = _orbit_closure(y)[1]
-                    got = _walked(lambda: memo.window_symbols(y, steps))
-                    want = _walked(lambda: _orbit_symbols(phi, y, steps,
-                                                          None))
+                    got = _walked(lambda: _window_symbols(phi, y, steps))
+                    want = _walked(lambda: _reference_walk(
+                        _fresh(phi), y)[0][:steps])
                     assert got == want, (phi, y)
                     compared += 1
                     emitters += isinstance(got, list) and any(
                         isinstance(s, MinimalEmitter) for s in got)
-            assert memo.emitted == any(isinstance(s, MinimalEmitter)
-                                       for s in memo.symbols.values())
-            # a stored window was asked for once, also when it repeats
-            # within one walk; a refused one is asked again next time
-            stored = [key for key in (prefix(y, phi.window)
-                                      for y in counting.asked)
-                      if key in memo.symbols]
-            assert len(stored) == len(set(stored)), phi
+            held = any(isinstance(s, MinimalEmitter)
+                       for s in phi.table.values())
+            # the flag outlives an emptied table's emitters
+            assert phi.table.emitted == held or \
+                (cap is not None and phi.table.emitted)
+            if cap is None:
+                # a stored window was asked for once, also when it repeats
+                # within one walk; a refused one is asked again next time
+                stored = [key for key in (prefix(y, phi.window)
+                                          for y in asked)
+                          if key in phi.table]
+                assert len(stored) == len(set(stored)), phi
     assert windows == {0, 1, 2, 3}
     assert compared > 2000 and emitters > 100
 

@@ -2,12 +2,27 @@
 module.
 
 A module-level memo would outlive the graphs and maps whose answers it
-holds, and would keep growing across unrelated verdicts."""
+holds, and would keep growing across unrelated verdicts.  A map's one
+table dies with the map, is never shared, and serves every evaluation of
+the map, in a probe or not."""
 
 import ast
+import gc
 import pathlib
+import weakref
 
+from test_codes import _asking
 import ultrashift
+from ultrashift.codes import (
+    MapPresentation,
+    RuleMap,
+    check_commuting,
+    eval_resolved,
+    probe_continuity,
+)
+from ultrashift.corpus import build_fixture
+from ultrashift.intsets import INFINITE
+from ultrashift.points import length, prefix
 
 PACKAGE = pathlib.Path(ultrashift.__file__).parent
 CACHE_DECORATORS = {"cache", "lru_cache"}
@@ -58,28 +73,65 @@ def test_no_module_level_memo_dict():
     assert found == []
 
 
-def test_probe_memo_dies_with_its_verdict(monkeypatch):
-    import gc
-    import weakref
+FC, FA = build_fixture("c"), build_fixture("a")
 
-    from ultrashift import codes
-    from ultrashift.corpus import build_fixture
 
-    memos = []
+def _maps():
+    """(map, points): a map with a window, one without, and a rule map,
+    the three owners of a table, each new and with its fixture's points."""
+    windowed = FC.maps["phi_finite"]
+    assert windowed.window is not None and FA.phi.window is None
+    return [(MapPresentation(FC.source, FC.target, windowed.classes),
+             list(FC.points.values())),
+            (MapPresentation(FA.source, FA.target, FA.phi.classes),
+             list(FA.points.values())),
+            (RuleMap(FA.source, FA.target, FA.phi.symbol_at),
+             list(FA.points.values()))]
 
-    class Watched(codes._ProbeMemo):
-        def __init__(self, phi):
-            super().__init__(phi)
-            memos.append(weakref.ref(self))
 
-    monkeypatch.setattr(codes, "_ProbeMemo", Watched)
-    fx = build_fixture("a")
-    gc.disable()  # the memo must go by reference counting alone
+def test_a_maps_table_dies_with_the_map():
+    gc.disable()  # the table must go by reference counting alone
     try:
-        for name in ("all_d", "f3", "d_then_zero"):
-            verdict = codes.probe_continuity(fx.phi, fx.points[name])
-            assert verdict.status in ("holds", "fails")
-        assert len(memos) == 3
-        assert all(ref() is None for ref in memos)
+        tables = []
+        for phi, points in _maps():
+            for x in points:
+                assert probe_continuity(phi, x).status in ("holds", "fails")
+            assert phi.table
+            tables.append(weakref.ref(phi.table))
+        del phi
+        # the graphs, the fixtures and the modules keep no table
+        assert all(ref() is None for ref in tables)
     finally:
         gc.enable()
+
+
+def test_two_maps_never_share_a_table():
+    one, two = _maps(), _maps()
+    assert len({id(phi.table) for phi, _ in one + two}) == 6
+    for phi, points in one:
+        for x in points:
+            eval_resolved(phi, x)
+    assert all(phi.table for phi, _ in one)
+    assert not any(phi.table for phi, _ in two)
+
+
+def _windows_asked(phi, points) -> set:
+    """The windows a probe of the map at each infinite point asks
+    ``symbol_at`` for."""
+    asked = _asking(phi)
+    for x in points:
+        if length(x) == INFINITE:
+            probe_continuity(phi, x)
+    return {prefix(y, phi.window) for y in asked}
+
+
+def test_evaluations_outside_a_probe_fill_the_table_a_probe_reads():
+    pool = FC.sample_pool(20, seed=3)
+    phi = _maps()[0][0]
+    assert check_commuting(phi, pool).status == "holds"
+    seen = set(phi.table)
+    # a map with a cold table asks for windows that check_commuting stored;
+    # after check_commuting the probes ask for none of them
+    cold = _windows_asked(_maps()[0][0], pool)
+    assert cold & seen
+    assert not _windows_asked(phi, pool) & seen

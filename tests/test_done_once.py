@@ -4,8 +4,8 @@ and each cut leaves every answer as it was.
 - A probe at an infinite point skips the inward convergence check when
   ``m_max <= n_max``: term n of every approach strategy agrees with the
   point on at least n coordinates.
-- A map with a window keeps one table of window symbols for all of its
-  probes.
+- Each map keeps one table for all of its evaluations, probes or not:
+  window symbols when it has a window, whole images when it has none.
 - A witness point of a block of edges is its last edge's witness behind
   the block's other edges, read from a per-graph memo.
 
@@ -18,15 +18,14 @@ from collections import Counter
 import pytest
 
 from helpers_random import identity_map, mirror_map, random_family_graph
+from test_codes import _asking, _fresh
 from test_probe_memo import _random_window_maps
 from ultrashift import codes, dsl, graphs, sampling
 from ultrashift.codes import (
     MapError,
-    MapPresentation,
     ProbeBounds,
     RuleMap,
     _approach_strategies,
-    _ProbeMemo,
     _problems,
     _try_point,
     eval_resolved,
@@ -196,30 +195,18 @@ def _probe_all(phi, points, bounds=CRITERION_8) -> list:
     return out
 
 
-def _fresh(phi) -> MapPresentation:
-    return MapPresentation(phi.source, phi.target, phi.classes, phi.label)
-
-
-def _asking(phi) -> list:
-    """Record the points the map's own symbol_at is asked for."""
-    asked = []
-    symbol_at = phi.symbol_at
-    phi.symbol_at = lambda y: (asked.append(y), symbol_at(y))[1]
-    return asked
-
-
 def test_window_table_entries_are_the_maps_symbols():
     checked = emitters = 0
     for phi, pool in _random_window_maps(47, 4):
         _probe_all(phi, pool[:5])
-        for key, sym in phi.symbols.items():
+        for key, sym in phi.table.items():
             y = block_witness(phi.source, Block(key)) if key else pool[0]
             assert prefix(y, phi.window) == key
             assert _fresh(phi).symbol_at(y) == sym, (phi, key)
             checked += 1
             emitters += isinstance(sym, MinimalEmitter)
-        assert phi.symbols.emitted == any(
-            isinstance(s, MinimalEmitter) for s in phi.symbols.values())
+        assert phi.table.emitted == any(
+            isinstance(s, MinimalEmitter) for s in phi.table.values())
     assert checked > 200 and emitters > 0
 
 
@@ -239,13 +226,13 @@ def test_a_second_probe_asks_only_for_windows_it_has_not_seen():
         want = _probe_all(_fresh(phi), pool[:6])
         asked = _asking(phi)
         first = _probe_all(phi, pool[:3])
-        seen = set(phi.symbols)
+        seen = set(phi.table)
         asked.clear()
         # the same points again ask only for windows that no class takes
         assert _probe_all(phi, pool[:3]) == first
         assert all(prefix(y, phi.window) not in seen and
                    _refused(_fresh(phi), y) for y in asked), phi
-        seen = set(phi.symbols)
+        seen = set(phi.table)
         asked.clear()
         assert first + _probe_all(phi, pool[3:6]) == want, phi
         assert all(prefix(y, phi.window) not in seen for y in asked), phi
@@ -253,39 +240,30 @@ def test_a_second_probe_asks_only_for_windows_it_has_not_seen():
     assert asked_anew > 0
 
 
-def test_two_maps_keep_two_tables():
-    g = random_family_graph(random.Random(5), 0)
-    pool = sampling.point_pool(g, random.Random(5), 8)
-    one, two = mirror_map(g), mirror_map(g)
-    same = _fresh(one)
-    assert len({id(phi.symbols) for phi in (one, two, same)}) == 3
-    _probe_all(one, pool)
-    assert one.symbols and not two.symbols and not same.symbols
-    # a map without a window has no table; its probes keep their own
-    rule = RuleMap(g, g, lambda y: prefix(y, 1)[0])
-    assert rule.window is None and _ProbeMemo(rule).symbols is not \
-        _ProbeMemo(rule).symbols
+def test_a_table_is_emptied_at_the_cap(monkeypatch):
     fx = FIXTURES[0]
-    assert fx.phi.window is None and fx.phi.symbols is None
-
-
-def test_window_table_is_emptied_at_the_cap(monkeypatch):
-    cases = list(_random_window_maps(59, 2))
+    # window maps, then maps without a window, which store whole images
+    cases = list(_random_window_maps(59, 2)) + [
+        (fx.phi, list(fx.points.values())),
+        (RuleMap(fx.source, fx.target, fx.phi.symbol_at, "rule"),
+         list(fx.points.values()))]
     want = [_probe_all(_fresh(phi), pool[:6]) for phi, pool in cases]
     monkeypatch.setattr(graphs, "EDGE_MEMO_CAP", 3)
     for (phi, pool), expected in zip(cases, want):
         phi = _fresh(phi)
         asked = _asking(phi)
         sizes = []
-        store = phi.symbols.store
+        store = phi.table.store
 
-        def storing(key, sym, store=store, table=phi.symbols):
-            got = store(key, sym)
+        def storing(key, value, store=store, table=phi.table):
+            got = store(key, value)
             sizes.append(len(table))
             return got
-        phi.symbols.store = storing
+        phi.table.store = storing
         assert _probe_all(phi, pool[:6]) == expected, phi
-        assert len({prefix(y, phi.window) for y in asked}) > 3
+        keys = {y if phi.window is None else prefix(y, phi.window)
+                for y in asked}
+        assert len(keys) > 3
         assert sizes and max(sizes) <= 3
 
 

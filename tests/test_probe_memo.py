@@ -1,7 +1,11 @@
-"""The cost cuts of a continuity probe change no answer: evaluation that
-reads symbols by window keys or splices stored images equals plain
-evaluation, and convergence read from each term's agreement depth equals
-the definition read coordinate by coordinate."""
+"""The tables a map owns change no answer.  Every evaluation reads the
+map's one table: a map with a window reads first image symbols by window,
+a map without one stores whole images and splices a stored image of a
+shift onto the symbols before it.  Each equals the reference walk of
+``test_codes._reference_eval``, which asks ``symbol_at`` once a step and
+reads no table, whether the table is cold, warm, or emptied every third
+answer.  Also here: convergence read from each term's agreement depth
+equals the definition read coordinate by coordinate."""
 
 import dataclasses
 import random
@@ -10,6 +14,7 @@ import pytest
 
 from helpers_random import identity_map, mirror_map, random_family_graph
 from test_acceptance import _window_map
+from test_codes import CAPS, _asking, _cap, _fresh, _outcome, _reference_eval
 from ultrashift import sampling
 from ultrashift.codes import (
     MapError,
@@ -17,8 +22,6 @@ from ultrashift.codes import (
     ProbeBounds,
     RuleMap,
     SchemaClass,
-    _ProbeMemo,
-    _SymbolTable,
     eval_map,
     probe_continuity,
 )
@@ -41,51 +44,40 @@ from ultrashift.points import (
 FIXTURES = [build_fixture(name) for name in "abcd"]
 
 
-def _outcome(phi, x):
-    """eval_map's result as comparable data, or the error it raises."""
-    try:
-        res = eval_map(phi, x)
-    except MapError as err:
-        return type(err).__name__, str(err)
-    return res.prefix, res.resolved, str(res.resolved)
-
-
-def _counting(memo):
-    """Record the points whose symbol a memoized map is asked for."""
-    asked = []
-    symbol_at = memo.symbol_at
-    memo.symbol_at = lambda x: (asked.append(x), symbol_at(x))[1]
-    return asked
-
-
 def _maps_on_their_source(fx):
-    return [phi for phi in fx.maps.values() if phi.source is fx.source]
+    return [_fresh(phi) for phi in fx.maps.values()
+            if phi.source is fx.source]
 
 
-def test_spliced_evaluation_equals_plain_evaluation_on_fixture_pools():
+@CAPS
+def test_spliced_evaluation_equals_the_reference_on_fixture_pools(
+        cap, monkeypatch):
+    _cap(monkeypatch, cap)
     compared = 0
     for fx in FIXTURES:
         pool = fx.sample_pool(30, seed=5) + list(fx.points.values())
         for phi in _maps_on_their_source(fx):
-            memo = _ProbeMemo(phi)
             for x in pool:
-                # evaluate the shifts first, so that x splices onto them
-                for k in (3, 1, 0):
+                # the shifts first, so that x splices onto them; a second
+                # pass reads what the first stored
+                for k in (3, 1, 0, 0):
                     y = shift_n(x, k)
-                    assert _outcome(memo, y) == _outcome(phi, y), y
+                    assert _outcome(phi, y) == _reference_eval(phi, y), y
                     compared += 1
-    assert compared > 400
+    assert compared > 500
 
 
 def test_a_stored_shift_is_spliced_after_one_symbol():
     fx = FIXTURES[0]
     x = PeriodicPoint((d(), d(), f(2)), (f(3), f(1)))
-    memo = _ProbeMemo(fx.phi)
-    eval_map(memo, shift(x))
-    asked = _counting(memo)
-    assert _outcome(memo, x) == _outcome(fx.phi, x)
+    phi = _fresh(fx.phi)
+    assert phi.window is None
+    eval_map(phi, shift(x))
+    asked = _asking(phi)
+    want = _reference_eval(fx.phi, x)
+    assert _outcome(phi, x) == want
     assert asked == [x]
-    assert _outcome(memo, x) == _outcome(fx.phi, x)
+    assert _outcome(phi, x) == want
     assert asked == [x]  # x itself is now stored
 
 
@@ -101,22 +93,24 @@ REPEATS = [
 ]
 
 
+@CAPS
 @pytest.mark.parametrize("seq", REPEATS, ids=str)
-def test_spliced_evaluation_equals_plain_evaluation_on_repeat_terms(seq):
-    fx = FIXTURES[0]
-    for phi in _maps_on_their_source(fx):
-        memo = _ProbeMemo(phi)
-        for k in range(1, 10):  # growing terms, as a probe reads them
-            x = seq.at(k)
-            assert _outcome(memo, x) == _outcome(phi, x), x
+def test_spliced_evaluation_equals_the_reference_on_repeat_terms(
+        seq, cap, monkeypatch):
+    _cap(monkeypatch, cap)
+    for phi in _maps_on_their_source(FIXTURES[0]):
+        for _ in range(2):  # a cold table, then a warm one
+            for k in range(1, 10):  # growing terms, as a probe reads them
+                x = seq.at(k)
+                assert _outcome(phi, x) == _reference_eval(phi, x), x
 
 
-def test_repeat_terms_of_the_b_loop_equal_plain_evaluation():
+def test_repeat_terms_of_the_b_loop_equal_the_reference():
     fx = FIXTURES[1]
     seq = RepeatFamily((n(0), n(1)), PeriodicPoint((n(2),), (n(1), n(0))))
-    memo = _ProbeMemo(fx.phi)
+    phi = _fresh(fx.phi)
     for k in range(1, 10):
-        assert _outcome(memo, seq.at(k)) == _outcome(fx.phi, seq.at(k))
+        assert _outcome(phi, seq.at(k)) == _reference_eval(phi, seq.at(k))
 
 
 def test_equal_finite_points_with_differently_named_tails():
@@ -128,24 +122,22 @@ def test_equal_finite_points_with_differently_named_tails():
     plain = dataclasses.replace(named, name=None)
     assert named == plain and str(named) != str(plain)
     identity = RuleMap(g, g, lambda x: coordinate(x, 1), "identity rule")
-    for phi in (identity, fx.phi):
-        memo = _ProbeMemo(phi)
+    for phi in (identity, _fresh(fx.phi)):
         for path in ((), (d(),), (f(2), d()), (d(), d(), f(5))):
             for tail in (named, plain, named):
                 for y in (FinitePoint(path, tail),
                           FinitePoint((d(),) + path, tail)):
-                    assert _outcome(memo, y) == _outcome(phi, y), y
+                    assert _outcome(phi, y) == _reference_eval(phi, y), y
 
 
 def test_failed_images_are_not_stored():
     fx = FIXTURES[3]
     bad = RuleMap(fx.source, fx.target, lambda x: f(-5), "broken")
-    memo = _ProbeMemo(bad)
     x = PeriodicPoint((), (fx.points["all_e0"].cycle[0],))
     for _ in range(2):
         with pytest.raises(MapError):
-            eval_map(memo, x)
-    assert memo.images == {}
+            eval_map(bad, x)
+    assert bad.table == {}
 
 
 # -- the window walk ------------------------------------------------------------
@@ -178,46 +170,32 @@ def _random_window_maps(seed: int, graphs: int):
             yield phi, pool
 
 
-def test_window_walk_equals_plain_evaluation():
+@CAPS
+def test_window_walk_equals_the_reference(cap, monkeypatch):
+    _cap(monkeypatch, cap)
     compared = refused = 0
     cases = list(_random_window_maps(41, 6))
     for fx in FIXTURES:
         for phi in fx.maps.values():
-            if getattr(phi, "window", None) is not None:
+            if phi.window is not None:
                 pool = sampling.point_pool(phi.source, random.Random(2), 30)
                 if phi.source is fx.source:
                     pool += list(fx.points.values())
-                cases.append((phi, pool))
+                cases.append((_fresh(phi), pool))
     windows = {phi.window for phi, _ in cases}
     assert {1, 2, 3} <= windows
     for phi, pool in cases:
-        memo = _ProbeMemo(phi)
         for x in pool:
-            # shifts first, as the orbits of a probe's terms overlap
-            for k in (2, 1, 0):
+            # shifts first, as the orbits of a probe's terms overlap; x
+            # twice, the second time from a warm table
+            for k in (2, 1, 0, 0):
                 y = shift_n(x, k)
-                got = _outcome(memo, y)
-                assert got == _outcome(phi, y), (phi, y)
+                got = _outcome(phi, y)
+                assert got == _reference_eval(phi, y), (phi, y)
                 compared += 1
-                refused += "is not a point of the target shift" in str(got)
-    assert compared > 1500
-    assert refused > 0  # images failing target validation raise both ways
-
-
-class _Counting:
-    """A map that records the points its symbols are asked for."""
-
-    def __init__(self, phi):
-        self.phi, self.asked = phi, []
-        self.source, self.target, self.window = \
-            phi.source, phi.target, phi.window
-        # a window table of its own, so it is asked for every window that
-        # this wrapper has not stored yet
-        self.symbols = _SymbolTable()
-
-    def symbol_at(self, x):
-        self.asked.append(x)
-        return self.phi.symbol_at(x)
+                refused += got == "target"
+    assert compared > 2000
+    assert refused > 0  # images failing target validation are refused
 
 
 def test_a_probe_asks_for_each_window_once():
@@ -228,12 +206,14 @@ def test_a_probe_asks_for_each_window_once():
          for k in ("phi_finite", "phi_infinite")]
     for phi, pool in maps:
         for x in pool[:6]:
-            counting = _Counting(phi)
+            # a cold table, so the probe is asked for every window it reads
+            fresh = _fresh(phi)
+            asked = _asking(fresh)
             try:
-                probe_continuity(counting, x, bounds)
+                probe_continuity(fresh, x, bounds)
             except MapError:
                 pass  # the index shift map refuses some images
-            keys = [prefix(y, phi.window) for y in counting.asked]
+            keys = [prefix(y, phi.window) for y in asked]
             assert len(keys) == len(set(keys)), (phi, x)
             probes += len(keys) > 1
     assert probes > 20
