@@ -25,7 +25,6 @@ from .codes import (
     check_genchl_iib,
     check_length_preserving,
     eval_map,
-    eval_resolved,
     validate_partition,
 )
 from .definable import (AuditError, SetOracle, audit_refutation,
@@ -39,6 +38,8 @@ from .points import (
     check_convergence,
     coordinate,
     length,
+    orbit_closure,
+    prefix,
     shift,
 )
 from .verdicts import FAILS, HOLDS, NOT_APPLICABLE, UNKNOWN, Verdict
@@ -183,9 +184,9 @@ def cmd_eval(args) -> Report:
     x = _point_from(doc, phi.source, args.point)
     report = Report("eval")
     try:
-        res = eval_map(phi, x)
-        prefix = " ".join(str(s) for s in res.prefix[:args.depth])
-        detail = f"prefix: {prefix} | resolved: {res.resolved}"
+        img = eval_map(phi, x)
+        head = prefix(img, min(args.depth, orbit_closure(x)[1]))
+        detail = f"prefix: {' '.join(map(str, head))} | resolved: {img}"
         report.add(Verdict("eval", HOLDS, detail,
                            bounds={"depth": args.depth}))
     except MapError as err:
@@ -207,7 +208,7 @@ def _check_verdicts(kind: str, phi, samples):
     elif kind in ("csc", "genchl"):
         yield check_csc_item_i(phi)
         for x0 in sampling.zero_points(phi.source):
-            img = eval_map(phi, x0).prefix[0]
+            img = coordinate(eval_map(phi, x0), 1)
             if isinstance(img, MinimalEmitter):
                 if kind == "csc":
                     yield check_csc_item_ii(phi, x0, SymbolicSet.empty())
@@ -259,8 +260,8 @@ def _audit(phi, v: Verdict) -> Verdict:
                            "witness re-checked" if ok else "mismatch")
         if v.check == "commuting":
             x, i = v.witness
-            lhs = eval_resolved(phi, shift(x))
-            rhs = eval_resolved(phi, x)
+            lhs = eval_map(phi, shift(x))
+            rhs = eval_map(phi, x)
             ok = coordinate(lhs, i) != coordinate(rhs, i + 1)
             return Verdict(name, HOLDS if ok else FAILS,
                            "violation reproduced" if ok else "mismatch")

@@ -39,6 +39,7 @@ from .points import (
     check_convergence,
     coordinate,
     length,
+    orbit_closure,
     prefix,
     prepend,
     shift,
@@ -53,6 +54,7 @@ SAMPLE_TRIES = 24
 # shifts after which validate_partition finds an emitter class still
 # invariant; it echoes it as "depth"
 PARTITION_DEPTH = 8
+INCOMPLETE = "; the minimal emitter inventory is incomplete"
 
 
 class MapError(ValueError):
@@ -164,17 +166,18 @@ class _SymbolTable(dict):
     """The one table a map owns, read by every evaluation of the map.  The
     map's ``window`` picks the kind: with a window, keys are windows (the
     first ``window`` coordinates of a point) and values first image
-    symbols, and ``emitted`` tells whether an emitter symbol was ever
-    stored: only then can an image hold one.  Without a window, keys are
-    whole points (``_point_key``) and values their resolved
-    ``EvalResult``.  The table is emptied when it holds
-    ``graphs.EDGE_MEMO_CAP`` answers, as a graph's memos are."""
+    symbols, and ``emitted`` tells whether the table holds an emitter
+    symbol: only then can a walk that reads every symbol from it meet one.
+    Without a window, keys are whole points (``_point_key``) and values
+    their image points.  The table is emptied, ``emitted`` with it, when it
+    holds ``graphs.EDGE_MEMO_CAP`` answers, as a graph's memos are."""
 
     emitted = False
 
     def store(self, key, value):
         if len(self) >= graphs.EDGE_MEMO_CAP:
             self.clear()
+            self.emitted = False
         self[key] = value
         if isinstance(value, MinimalEmitter):
             self.emitted = True
@@ -189,7 +192,7 @@ class MapPresentation:
     only; it is None when a class is an oracle or a schema repeats an
     atom.  ``symbol_at`` walks the classes in order.  The map owns one
     table (``_SymbolTable``) that every evaluation reads and fills: first
-    image symbols by window when the map has a window, resolved images by
+    image symbols by window when the map has a window, image points by
     whole point when it has none.  The classes are fixed once the map is
     built, so what the table holds stays true for the map's lifetime."""
 
@@ -233,8 +236,8 @@ def _schema_window(classes) -> int | None:
 class RuleMap:
     """A shift commuting map given by a first-coordinate rule.  A rule
     reads the whole point, so the map has no window, and its one table
-    holds resolved images by whole point; the rule must be a function of
-    the point alone."""
+    holds image points by whole point; the rule must be a function of the
+    point alone."""
 
     def __init__(self, source: Ultragraph, target: Ultragraph, rule,
                  label: str = "rule map"):
@@ -299,55 +302,33 @@ def _problems(g: Ultragraph, x: Point) -> list:
 # -- evaluation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class EvalResult:
-    """The first image symbols of a point's orbit and its resolved image;
-    frozen, since a map's table hands one result to every caller."""
-
-    prefix: tuple
-    resolved: Point
-
-
-def _orbit_closure(x: Point) -> tuple[int, int]:
-    """Steps (m, m + p) at which the shift orbit of x first repeats: the
-    point reached after m + p shifts is the one reached after m.  Canonical
-    forms fix both numbers, so no point is compared: a finite point of path
-    length L reaches its fixed point after L shifts, and a periodic point
-    with minimal preamble m and primitive cycle p has pairwise distinct
-    shifts before m + p."""
-    if isinstance(x, FinitePoint):
-        return len(x.path), len(x.path) + 1
-    return len(x.preamble), len(x.preamble) + len(x.cycle)
-
-
-def eval_map(phi, x: Point) -> EvalResult:
-    """Apply the map along the shift orbit of x.
+def eval_map(phi, x: Point) -> Point:
+    """The image of x: the map applied along the shift orbit of x.
 
     Every point is finite or eventually periodic, so its orbit reaches a
-    fixed point or closes a cycle, and the image resolves exactly: a finite
-    point (when an emitter symbol appears, which must then persist) or an
-    eventually periodic point.  Every call reads the map's one table
-    (``_SymbolTable``).  A map with a window reads each step's symbol by
-    its window (``_window_symbols``), and scans the symbols for an emitter
-    only once its table has stored one.  A map without a window returns a
+    fixed point or closes a cycle (``orbit_closure``), and the image
+    resolves exactly: a finite point (when an emitter symbol appears, which
+    must then persist) or an eventually periodic point, whose first
+    coordinates are the orbit's symbols.  Every call reads the map's one
+    table (``_SymbolTable``).  A map with a window reads each step's symbol
+    by its window (``_window_symbols``).  A map without a window returns a
     stored image of x as it is; otherwise it walks the orbit, splices on a
     stored image of a shift, and stores the image of x.  A periodic image
     whose pairs of consecutive symbols the target's ``adjacent`` memo
     already answers True is a point of the target; any other image is
     validated in full."""
-    m, steps = _orbit_closure(x)
+    m, steps = orbit_closure(x)
     table = phi.table
     if phi.window is None:
         key = _point_key(x)
         known = table.get(key)
         if known is not None:
             return known
-        syms = _orbit_symbols(phi, x, steps)
+        syms, scan = _orbit_symbols(phi, x, steps), True
     else:
-        syms = _window_symbols(phi, x, steps)
-    emitter_at = None if phi.window is not None and not table.emitted else \
-        next((i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)),
-             None)
+        syms, scan = _window_symbols(phi, x, steps)
+    emitter_at = None if not scan else next(
+        (i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)), None)
     if emitter_at is not None:
         tail = syms[emitter_at]
         # once the orbit closes at (m, m + p), checking the computed symbols
@@ -368,10 +349,9 @@ def eval_map(phi, x: Point) -> EvalResult:
         # cycle with its wrap, whatever canonical form the image takes
         if not phi.target.known_adjacent(syms + [syms[m]]):
             _check_output(phi.target, out)
-    res = EvalResult(tuple(syms), out)
     if phi.window is None:
-        table.store(key, res)
-    return res
+        table.store(key, out)
+    return out
 
 
 def _point_key(x: Point):
@@ -386,7 +366,7 @@ def _orbit_symbols(phi, x: Point, steps: int) -> list:
     """The first image symbols of x and its next ``steps - 1`` shifts, for
     a map without a window.  The walk ends at the first shift whose image
     the map's table holds: only images the map could evaluate are stored,
-    so their symbols are the ones the walk would ask for."""
+    so their coordinates are the symbols the walk would ask for."""
     syms: list = []
     cur = x
     for i in range(steps):
@@ -395,25 +375,27 @@ def _orbit_symbols(phi, x: Point, steps: int) -> list:
             if known is not None:
                 # the image of x is syms followed by the image of its i-th
                 # shift, whose walk covers the remaining steps
-                return syms + list(known.prefix[:steps - i])
+                return syms + list(prefix(known, steps - i))
         syms.append(phi.symbol_at(cur))
         cur = shift(cur)
     return syms
 
 
-def _window_symbols(phi, x: Point, steps: int) -> list:
+def _window_symbols(phi, x: Point, steps: int) -> tuple[list, bool]:
     """The first image symbols of x and its next ``steps - 1`` shifts, for
-    a map with a window w: the symbol at step i depends on the coordinates
-    x_{i+1}..x_{i+w} only, so the first steps + w - 1 coordinates are read
-    once, every step's window is looked up in the map's table in one pass,
-    and a shifted point is built only for a window not in the table, in
-    order of the steps."""
+    a map with a window w, and whether they may hold an emitter symbol:
+    the symbol at step i depends on the coordinates x_{i+1}..x_{i+w} only,
+    so the first steps + w - 1 coordinates are read once, every step's
+    window is looked up in the map's table in one pass, and a shifted point
+    is built only for a window not in the table, in order of the steps."""
     w, table = phi.window, phi.table
     coords = prefix(x, steps + w - 1)
     # with w = 0 no schema reads a coordinate and every key is ()
     keys = list(zip(*(coords[j:j + steps] for j in range(w)))) if w \
         else [()] * steps
     syms = list(map(table.get, keys))
+    # an emitter held as the walk began, or stored since (and maybe dropped)
+    scan = table.emitted
     if None in syms:
         cur, at = x, 0  # the shift of x built last, and how far it is
         for i in range(syms.index(None), steps):
@@ -426,8 +408,9 @@ def _window_symbols(phi, x: Point, steps: int) -> list:
                     cur = shift(cur)
                 at = i
                 sym = table.store(keys[i], phi.symbol_at(cur))
+                scan = scan or isinstance(sym, MinimalEmitter)
             syms[i] = sym
-    return syms
+    return syms, scan
 
 
 def _check_output(h: Ultragraph, out: Point) -> None:
@@ -438,7 +421,8 @@ def _check_output(h: Ultragraph, out: Point) -> None:
 
 
 def eval_resolved(phi, x: Point) -> Point:
-    return eval_map(phi, x).resolved
+    """``eval_map`` under the older name that ``bench/wl_gsbc.py`` reads."""
+    return eval_map(phi, x)
 
 
 # -- partition validation -------------------------------------------------------
@@ -483,7 +467,7 @@ def check_commuting(phi, samples, depth: int = 16) -> Verdict:
     construction, so for them this is a self-test."""
     bounds = {"samples": len(samples), "depth": depth}
     raw = callable(phi) and not hasattr(phi, "symbol_at")
-    image = phi if raw else functools.partial(eval_resolved, phi)
+    image = phi if raw else functools.partial(eval_map, phi)
     for x in samples:
         lhs, rhs = image(shift(x)), image(x)
         for i in range(1, depth + 1):
@@ -506,7 +490,7 @@ def check_period_preservation(phi, x: Point) -> Verdict:
         p = 1
     else:
         raise MapError("finite points of positive length are not periodic")
-    y = eval_resolved(phi, x)
+    y = eval_map(phi, x)
     ok = shift_n(y, p) == y
     return Verdict("period-preservation", HOLDS if ok else FAILS,
                    f"input period {p}", (x, y))
@@ -828,7 +812,7 @@ def check_genchl_iia(phi, x_bar: FinitePoint) -> Verdict:
     extension edges must keep the image inside the basic neighborhood of
     the image tail.  Returns the minimal certified excluded set."""
     h = phi.target
-    img = eval_resolved(phi, x_bar)
+    img = eval_map(phi, x_bar)
     if length(img) != 0:
         return Verdict("genchl-iia", NOT_APPLICABLE,
                        f"image has length {length(img)}")
@@ -890,7 +874,7 @@ def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet) -> Verdict:
     neighborhood excluding F there must be a finite source excluded set
     F' with the image of the shifted cylinder inside it."""
     h = phi.target
-    img = eval_resolved(phi, x_bar)
+    img = eval_map(phi, x_bar)
     if length(img) == INFINITE:
         return Verdict("csc-item-ii", NOT_APPLICABLE, "image is infinite")
     l = int(length(img))
@@ -908,7 +892,7 @@ def compute_A_x(phi, x_bar: FinitePoint, x: Point):
     for i, edge in enumerate(x_bar.path):
         if coordinate(x, i + 1) != edge:
             raise MapError("x must extend the path of x_bar")
-    c = eval_map(phi, x).prefix[0]
+    c = coordinate(eval_map(phi, x), 1)
     if isinstance(c, MinimalEmitter):
         raise MapError("the first image symbol must be an edge")
     if phi.classes:
@@ -929,7 +913,7 @@ def check_genchl_iib(phi, x_bar: FinitePoint) -> Verdict:
     """The extension-edge sets A_x must be finite for every extension whose
     first image symbol is an edge emitted by the image tail."""
     g, h = phi.source, phi.target
-    img = eval_resolved(phi, x_bar)
+    img = eval_map(phi, x_bar)
     if length(img) != 0:
         return Verdict("genchl-iib", NOT_APPLICABLE, "image not length zero")
     B = img.tail
@@ -953,10 +937,10 @@ def check_genchl_iib(phi, x_bar: FinitePoint) -> Verdict:
 def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4) -> Verdict:
     """At a zero-length point with infinite constant image (d d d ...),
     some cylinder at the point must stay inside the class of d for M
-    shifts."""
+    shifts.  With an incomplete emitter inventory it cannot hold."""
     g = phi.source
     x0 = FinitePoint((), A)
-    d_sym = eval_map(phi, x0).prefix[0]
+    d_sym = coordinate(eval_map(phi, x0), 1)
     tries = 16
     bounds = {"M": M, "tries": tries}
     if isinstance(d_sym, MinimalEmitter):
@@ -975,7 +959,7 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4) -> Verdict:
             cov_exact = False
             continue
         cov = cov.union(_sure_next_edges(g, cls, (), params))
-    emitters, _ = g.minimal_infinite_emitters()
+    emitters, complete = g.minimal_infinite_emitters()
     zero_ok = {}
     for m in emitters:
         try:
@@ -1024,9 +1008,10 @@ def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4) -> Verdict:
         return Verdict("csc-item-iii", UNKNOWN,
                        f"coverage gap at step {i} unconfirmed", gap, bounds)
     note = "exact coverage" if cov_exact else "coverage certified up to bounds"
-    return Verdict("csc-item-iii", HOLDS,
+    return Verdict("csc-item-iii", HOLDS if complete else UNKNOWN,
                    f"cylinder with excluded set {F} stays in the class for "
-                   f"{M} shifts; {note}", F, bounds, exact=cov_exact)
+                   f"{M} shifts; {note}" + ("" if complete else INCOMPLETE),
+                   F, bounds, exact=cov_exact and complete)
 
 
 def _sure_next_edges(g: Ultragraph, cls: SchemaClass, head: tuple,
@@ -1104,9 +1089,10 @@ def _backward_paths(g: Ultragraph, target: EdgeRef, steps: int,
 def check_length_preserving(phi, samples) -> Verdict:
     """Length preservation: the emitter classes must contain exactly the
     zero-length points, edge classes must be open, and the excluded-set
-    and finite-extension conditions must hold at zero-length points."""
+    and finite-extension conditions must hold at zero-length points.  With
+    an incomplete emitter inventory it cannot hold."""
     g = phi.source
-    src_emitters, _ = g.minimal_infinite_emitters()
+    src_emitters, complete = g.minimal_infinite_emitters()
     bounds = {"samples": len(samples), "tries": SAMPLE_TRIES}
     for m in src_emitters:
         x0 = FinitePoint((), m)
@@ -1144,9 +1130,10 @@ def check_length_preserving(phi, samples) -> Verdict:
                                v.witness, bounds)
             if v.status == UNKNOWN:
                 worst_status = UNKNOWN
-    return Verdict("length-preserving", worst_status,
+    return Verdict("length-preserving", worst_status if complete else UNKNOWN,
                    "emitter classes carry exactly the zero-length points; "
-                   "extension conditions hold", bounds=bounds)
+                   "extension conditions hold" + ("" if complete else
+                                                  INCOMPLETE), bounds=bounds)
 
 
 # -- direct topological probing ---------------------------------------------------
@@ -1203,7 +1190,7 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
     bounds = bounds or ProbeBounds()
     g = phi.source
     try:
-        target = eval_resolved(phi, x)
+        target = eval_map(phi, x)
     except MapError as err:
         return Verdict("probe-continuity", UNKNOWN, str(err), x)
     worst = HOLDS
@@ -1222,7 +1209,7 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
 
         def images(n, term=term):
             try:
-                return eval_resolved(phi, term(n))
+                return eval_map(phi, term(n))
             except MapError:
                 unplaced.append(term(n))
                 raise
@@ -1243,7 +1230,7 @@ def probe_continuity(phi, x: Point, bounds: ProbeBounds | None = None,
                 f"strategy '{label}': inputs converge to {x} but images "
                 f"do not converge to {target} ({outward.detail})",
                 {"strategy": label, "terms": terms,
-                 "images": [eval_resolved(phi, t) for t in terms],
+                 "images": [eval_map(phi, t) for t in terms],
                  "target": target, "stuck": outward.witness},
                 bounds.as_dict())
         if outward.status == UNKNOWN:

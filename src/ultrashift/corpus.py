@@ -165,7 +165,7 @@ from .codes import (  # noqa: E402  (fixtures sit on top of the whole stack)
     check_csc_item_i,
     check_csc_item_iii,
     check_length_preserving,
-    eval_resolved,
+    eval_map,
     probe_continuity,
     validate_partition,
 )
@@ -481,8 +481,8 @@ def _fixture_d() -> Fixture:
         while len(samples) < 50:
             samples.append(sampling.random_point(g, rng))
         for x in samples:
-            y = eval_resolved(phi, x)
-            back = eval_resolved(phi_inv, y)
+            y = eval_map(phi, x)
+            back = eval_map(phi_inv, y)
             if back != x:
                 return Verdict("inverse-identity", FAILS, "round trip broke",
                                (x, y, back))

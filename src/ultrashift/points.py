@@ -124,6 +124,17 @@ def shift_n(x: Point, n: int) -> Point:
     return x
 
 
+def orbit_closure(x: Point) -> tuple[int, int]:
+    """Steps (m, m + p) at which the shift orbit of x first repeats: the
+    point after m + p shifts is the one after m.  Canonical forms fix both,
+    so no point is compared: a finite point of path length L is fixed after
+    L shifts, and a periodic point with minimal preamble m and primitive
+    cycle p has pairwise distinct shifts before m + p."""
+    if isinstance(x, FinitePoint):
+        return len(x.path), len(x.path) + 1
+    return len(x.preamble), len(x.preamble) + len(x.cycle)
+
+
 def validate_point(g: Ultragraph, x: Point) -> list[str]:
     """Problems with x as a point of the shift space of g; entries starting
     with 'unknown:' are warnings from unsaturated closures.

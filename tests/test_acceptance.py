@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-
+from helpers_maps import localizable, window_map
 from ultrashift.codes import (
     check_commuting,
     check_length_preserving,
@@ -17,9 +17,7 @@ from ultrashift.codes import (
     eval_resolved,
     probe_continuity,
     validate_partition,
-    MapPresentation,
     ProbeBounds,
-    SchemaClass,
 )
 from ultrashift.corpus import (
     build_fixture,
@@ -36,9 +34,6 @@ from ultrashift.corpus import (
 )
 from ultrashift.definable import (
     FdBounds,
-    LitAtom,
-    PcSchema,
-    VarAtom,
     decompose_cylinder,
     refute_finitely_defined,
     sample_points,
@@ -47,7 +42,7 @@ from ultrashift.definable import (
 )
 from ultrashift.graphs import EdgeRef, Ultragraph
 from ultrashift.intsets import INFINITE, IndexSet, SymbolicSet
-from ultrashift.paths import Block, enumerate_blocks
+from ultrashift.paths import Block
 from ultrashift.points import (
     ConvergenceBounds,
     FinitePoint,
@@ -273,41 +268,6 @@ def brute_force_g0(g: Ultragraph):
     return closure
 
 
-def _window_map(g: Ultragraph, h: Ultragraph, w: int) -> MapPresentation:
-    """Target symbol mirrors the w-th coordinate; window exactly w."""
-    classes = []
-    prefixes = [()] if w == 1 else [tuple(b.symbols)
-                                    for b in enumerate_blocks(g, w - 1, 9)
-                                    if all(isinstance(s, EdgeRef)
-                                           for s in b.symbols)]
-    for name, ef in g.edge_families.items():
-        body = [PcSchema(1, tuple(LitAtom(s) for s in p) + (VarAtom(name),),
-                         ef.domain) for p in prefixes]
-        classes.append(SchemaClass(body, family=name,
-                                   index_domain=ef.domain))
-    return MapPresentation(g, h, classes, f"window-{w} mirror")
-
-
-def _localizable(phi, g: Ultragraph, w: int, bound: int = 9) -> bool:
-    """Brute force: is the first image symbol a function of the first w
-    coordinates?  Complete for finite graphs once the bound covers every
-    index."""
-    for b in enumerate_blocks(g, w, bound):
-        if not all(isinstance(s, EdgeRef) for s in b.symbols):
-            continue
-        seen = set()
-        for ext in enumerate_blocks(g, w + 2, bound):
-            if ext.symbols[:w] != b.symbols:
-                continue
-            witness = block_witness(g, ext, bound)
-            if witness is None:
-                continue
-            seen.add(phi.symbol_at(witness))
-        if len(seen) > 1:
-            return False
-    return True
-
-
 def test_criterion_09_finite_graph_degeneration():
     graphs = [finite_cycle_graph(3), finite_cycle_graph(4)]
     for g in graphs:
@@ -332,19 +292,19 @@ def test_criterion_09_finite_graph_degeneration():
         rng = random.Random(909)
         pool = [sampling.random_point(g, rng) for _ in range(12)]
         for w in (1, 2, 3):
-            phi = _window_map(g, h, w)
+            phi = window_map(g, h, w)
             assert validate_partition(phi, pool).status == "holds"
             assert check_commuting(phi, pool, depth=10).status == "holds"
             probe_ok = all(
                 probe_continuity(phi, x, ProbeBounds(
                     n_max=6, conv=ConvergenceBounds(m_max=3, n_max=10)), rng)
                 .status == "holds" for x in pool[:6])
-            local_ok = _localizable(phi, g, 3)
+            local_ok = localizable(phi, g, 3)
             assert probe_ok and local_ok, (g.name, w)
             agreement += 1
             if w > 1:
                 # sanity of the brute force: a window-w map needs w coords
-                assert not _localizable(phi, g, w - 1), (g.name, w)
+                assert not localizable(phi, g, w - 1), (g.name, w)
     _line(9, True, f"membership matches brute force on all subsets and "
                    f"{agreement} window maps agree with the classical "
                    f"localization check (100%)")

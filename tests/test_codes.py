@@ -34,19 +34,21 @@ from ultrashift.corpus import (
 )
 from ultrashift.definable import LitAtom, PcSchema, VarAtom
 from ultrashift import graphs
-from ultrashift.graphs import MinimalEmitter
 from ultrashift.intsets import IndexSet, SymbolicSet
 from ultrashift.paths import Ultrapath
 from ultrashift.points import (
     Cylinder,
     FinitePoint,
     PeriodicPoint,
+    coordinate,
     cylinder_contains,
     length,
+    prefix,
     shift,
-    validate_point,
+    shift_n,
 )
 from ultrashift import sampling
+from helpers_oracle import CAPS, apply_cap, fresh, outcome, reference_eval
 
 FA = build_fixture("a")
 FB = build_fixture("b")
@@ -146,92 +148,6 @@ def test_eval_catches_non_invariant_emitter_class():
     assert "persist" in str(err.value)
 
 
-def _reference_walk(phi, x):
-    """The first image symbols along the orbit of x, one ``symbol_at``
-    call a step and no table: walked until a point comes back and then
-    once more around the cycle.  (symbols, length of the first walk, step
-    at which the point that came back was first seen); an error of
-    ``symbol_at`` propagates."""
-    syms, seen, cur = [], {}, x
-    while cur not in seen:
-        seen[cur] = len(syms)
-        syms.append(phi.symbol_at(cur))
-        cur = shift(cur)
-    first, m = len(syms), seen[cur]
-    for _ in range(first - m):
-        syms.append(phi.symbol_at(cur))
-        cur = shift(cur)
-    return syms, first, m
-
-
-def _reference_eval(phi, x):
-    """The map along the orbit of x by ``_reference_walk``, with the image
-    built from the symbols and checked as the definition reads.  (symbols
-    of the first walk, image, image as printed), or why the map refuses x:
-    ("error", type, message) for an error of ``symbol_at``, else "persist"
-    when an emitter symbol does not persist over both walks, "target" when
-    the image is no point of the target, and "longer" when a finite input
-    is shorter than the image's path."""
-    try:
-        syms, first, m = _reference_walk(phi, x)
-    except MapError as err:
-        return "error", type(err).__name__, str(err)
-    tails = [i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)]
-    if tails:
-        if any(s != syms[tails[0]] for s in syms[tails[0]:]):
-            return "persist"
-        image = FinitePoint(tuple(syms[:tails[0]]), syms[tails[0]])
-    else:
-        image = PeriodicPoint(tuple(syms[:m]), tuple(syms[m:first]))
-    if any(not p.startswith("unknown:")
-           for p in validate_point(phi.target, image)):
-        return "target"
-    if tails and length(x) < tails[0]:
-        return "longer"
-    return tuple(syms[:first]), image, str(image)
-
-
-# eval_map's own refusals, by the words of its errors
-REFUSALS = {"does not persist": "persist",
-            "is not a point of the target shift": "target",
-            "image is longer": "longer"}
-
-
-def _outcome(phi, x):
-    """eval_map's answer in the terms of ``_reference_eval``."""
-    try:
-        res = eval_map(phi, x)
-    except MapError as err:
-        return next((kind for words, kind in REFUSALS.items()
-                     if words in str(err)),
-                    ("error", type(err).__name__, str(err)))
-    return res.prefix, res.resolved, str(res.resolved)
-
-
-def _fresh(phi):
-    """The same map with an empty table of its own."""
-    if isinstance(phi, RuleMap):
-        return RuleMap(phi.source, phi.target, phi.rule, phi.label)
-    return MapPresentation(phi.source, phi.target, phi.classes, phi.label)
-
-
-def _asking(phi) -> list:
-    """Record the points the map's own ``symbol_at`` is asked for."""
-    asked = []
-    symbol_at = phi.symbol_at
-    phi.symbol_at = lambda y: (asked.append(y), symbol_at(y))[1]
-    return asked
-
-
-# no cap, then tables emptied every third answer
-CAPS = pytest.mark.parametrize("cap", [None, 3])
-
-
-def _cap(monkeypatch, cap):
-    if cap is not None:
-        monkeypatch.setattr(graphs, "EDGE_MEMO_CAP", cap)
-
-
 def _first_rule(symbols):
     """A rule map on fixture a's graphs: the tail B at points whose first
     coordinate is in ``symbols``, e[1] elsewhere.  Its emitter class is
@@ -244,7 +160,7 @@ def _first_rule(symbols):
 
 @CAPS
 def test_eval_orbit_closure_matches_a_reference_walk(cap, monkeypatch):
-    _cap(monkeypatch, cap)
+    apply_cap(monkeypatch, cap)
     extra = {
         "a": [FinitePoint((), A_W),
              PeriodicPoint((d(), f(2)), (f(3),)),
@@ -265,19 +181,21 @@ def test_eval_orbit_closure_matches_a_reference_walk(cap, monkeypatch):
                        _first_rule({f(1), A_W})]}
     compared = refused = 0
     for fx in (FA, FB, build_fixture("c"), FD):
-        points = fx.sample_pool(30, 5) + extra.get(fx.name, [])
+        points = fx.sample_pool(30, 5) + list(fx.points.values()) + \
+            extra.get(fx.name, [])
         for phi in list(fx.maps.values()) + rule_maps.get(fx.name, []):
             if phi.source is not fx.source:
                 continue
-            phi = _fresh(phi)
+            phi = fresh(phi)
             for x in points:
-                want = _reference_eval(phi, x)
-                # a cold table; then one holding the shift's image, onto
-                # which x splices; then one holding x
-                assert _outcome(_fresh(phi), x) == want, (phi, x)
-                _outcome(phi, shift(x))
-                assert _outcome(phi, x) == want, (phi, x)
-                assert _outcome(phi, x) == want, (phi, x)
+                want = reference_eval(phi, x)
+                # a cold table; then one holding the images of shifts,
+                # onto which the shift and then x splice; then one holding x
+                assert outcome(fresh(phi), x) == want, (phi, x)
+                for y in (shift_n(x, 3), shift(x)):
+                    assert outcome(phi, y) == reference_eval(phi, y), (phi, y)
+                assert outcome(phi, x) == want, (phi, x)
+                assert outcome(phi, x) == want, (phi, x)
                 compared += 1
                 refused += want == "persist"
     assert compared > 200 and refused > 10
@@ -337,7 +255,7 @@ def test_zero_length_points_map_to_constant_sequences():
     for fx in (FA, FB, FD):
         for x in (p for p in fx.sample_pool(10) if length(p) == 0):
             img = eval_map(fx.phi, x)
-            assert all(s == img.prefix[0] for s in img.prefix)
+            assert prefix(img, 5) == (coordinate(img, 1),) * 5
 
 
 # -- openness of edge classes (condition i) ---------------------------------------
@@ -563,6 +481,29 @@ def test_length_preserving_fails_fixture_d_with_witness():
     v = check_length_preserving(FD.phi, FD.sample_pool(30))
     assert v.status == "fails"
     assert v.witness == FD.points["all_e0"]
+
+
+def test_an_incomplete_emitter_inventory_leaves_a_holding_verdict_unknown(
+        monkeypatch):
+    # a closure of one set saturates on no fixture, so the inventory of
+    # minimal emitters is incomplete; a failure keeps its witness
+    monkeypatch.setattr(graphs, "CLOSURE_CAP", 1)
+    fa, fb, fc = (build_fixture(name) for name in "abc")
+    assert not any(fx.source.minimal_infinite_emitters()[1]
+                   for fx in (fa, fb, fc))
+    incomplete = "; the minimal emitter inventory is incomplete"
+    v = check_length_preserving(fc.maps["phi_finite"], fc.sample_pool(30))
+    assert (v.status, v.detail) == ("unknown", "emitter classes carry "
+                                    "exactly the zero-length points; "
+                                    "extension conditions hold" + incomplete)
+    v = check_csc_item_iii(full_space_map(fa.source, fa.source, d()),
+                           fa.points["zero"].tail, M=4)
+    assert v.status == "unknown" and v.detail.endswith(incomplete)
+    assert not v.exact and v.witness.is_empty()
+    v = check_length_preserving(fb.phi, fb.sample_pool(30))
+    assert v.status == "fails" and v.witness == fb.points["all_zero"]
+    v = check_csc_item_iii(fc.maps["phi_infinite"], fc.points["zero"].tail)
+    assert v.status == "fails" and v.witness["point"] is not None
 
 
 # -- probing ----------------------------------------------------------------------

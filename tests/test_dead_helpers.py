@@ -1,5 +1,6 @@
 """Guard against dead private helpers and dead helper parameters in the
-package, and against checks that depend on how Python is run."""
+package, and against checks that depend on how Python is run; and keep
+the tests' shared code in helper modules."""
 
 import ast
 import pathlib
@@ -244,4 +245,18 @@ def test_no_module_checks_with_assert():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_test_module_imports_from_a_test_module():
+    # what two test modules share lives in a tests/helpers_*.py module, so
+    # that each test module runs, and can be folded or removed, on its own
+    found = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) \
+                else [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0].startswith("test_")]
     assert found == []

@@ -376,11 +376,22 @@ def test_cli_blocks(doc_file, capsys):
     assert "d[0]" in out and "f[1]" in out and "f[2]" in out
 
 
-def test_cli_eval_and_exit_codes(doc_file, capsys):
-    assert main(["eval", doc_file, "--map", "Phi", "--point",
-                 "inf: d d (f[3])*", "--depth", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "e[3]" in out
+@pytest.mark.parametrize("doc, phi, point, depth, detail", [
+    ("example_a.ug", "Phi", "inf: d d (f[3])*", "6",
+     "prefix: e[3] e[3] e[3] | resolved: ((e[3])* ...)"),
+    ("example_a.ug", "Phi", "inf: d d (f[3])*", "2",
+     "prefix: e[3] e[3] | resolved: ((e[3])* ...)"),
+    ("example_c.ug", "PhiFinite", "fin: d f[2] | w[0]", "12",
+     "prefix: e[1] e[3] tail{v[0]} | resolved: (e[1] e[3] tail{v[0]} ...)"),
+])
+def test_cli_eval_and_exit_codes(doc, phi, point, depth, detail, capsys):
+    # the prefix runs to the depth or to where the orbit of the point
+    # closes, whichever comes first
+    path = str(DOCS[0].parent / doc)
+    assert main(["eval", path, "--map", phi, "--point", point,
+                 "--depth", depth, "--format", "json"]) == 0
+    [record] = json.loads(capsys.readouterr().out)["records"]
+    assert record["detail"] == detail
 
 
 def test_cli_check_csc_json(doc_file, capsys):

@@ -14,7 +14,7 @@ import pathlib
 import random
 
 from helpers_random import identity_map, mirror_map, random_family_graph
-from test_probe_memo import _index_shift_map
+from helpers_maps import index_shift_map
 from ultrashift import sampling
 from ultrashift.codes import MapError, ProbeBounds, probe_continuity
 from ultrashift.corpus import build_fixture
@@ -41,7 +41,7 @@ def _probes():
     for tag in range(6):
         g = random_family_graph(rng, tag)
         pool = sampling.point_pool(g, random.Random(tag), 10)
-        for phi in (mirror_map(g), identity_map(g), _index_shift_map(g)):
+        for phi in (mirror_map(g), identity_map(g), index_shift_map(g)):
             for i, x in enumerate(pool):
                 yield f"{phi.label} at {i}: {x}", phi, x, CRITERION_8
 
