@@ -162,28 +162,6 @@ class OracleClass:
         return f"oracle class {self.label}"
 
 
-class _SymbolTable(dict):
-    """The one table a map owns, read by every evaluation of the map.  The
-    map's ``window`` picks the kind: with a window, keys are windows (the
-    first ``window`` coordinates of a point) and values first image
-    symbols, and ``emitted`` tells whether the table holds an emitter
-    symbol: only then can a walk that reads every symbol from it meet one.
-    Without a window, keys are whole points (``_point_key``) and values
-    their image points.  The table is emptied, ``emitted`` with it, when it
-    holds ``graphs.EDGE_MEMO_CAP`` answers, as a graph's memos are."""
-
-    emitted = False
-
-    def store(self, key, value):
-        if len(self) >= graphs.EDGE_MEMO_CAP:
-            self.clear()
-            self.emitted = False
-        self[key] = value
-        if isinstance(value, MinimalEmitter):
-            self.emitted = True
-        return value
-
-
 class MapPresentation:
     """A shift commuting map defined coordinatewise by a partition.
 
@@ -191,7 +169,7 @@ class MapPresentation:
     image symbol of a point depends on its first ``window`` coordinates
     only; it is None when a class is an oracle or a schema repeats an
     atom.  ``symbol_at`` walks the classes in order.  The map owns one
-    table (``_SymbolTable``) that every evaluation reads and fills: first
+    table (a ``graphs.Memo``) that every evaluation reads and fills: first
     image symbols by window when the map has a window, image points by
     whole point when it has none.  The classes are fixed once the map is
     built, so what the table holds stays true for the map's lifetime."""
@@ -203,7 +181,7 @@ class MapPresentation:
         self.classes = tuple(classes)
         self.label = label
         self.window = _schema_window(self.classes)
-        self.table = _SymbolTable()
+        self.table = graphs.Memo()
 
     def symbol_at(self, x: Point):
         found = []
@@ -246,7 +224,7 @@ class RuleMap:
         self.rule = rule
         self.classes = ()
         self.window = None
-        self.table = _SymbolTable()
+        self.table = graphs.Memo()
         self.label = label
 
     def symbol_at(self, x: Point):
@@ -310,13 +288,12 @@ def eval_map(phi, x: Point) -> Point:
     resolves exactly: a finite point (when an emitter symbol appears, which
     must then persist) or an eventually periodic point, whose first
     coordinates are the orbit's symbols.  Every call reads the map's one
-    table (``_SymbolTable``).  A map with a window reads each step's symbol
-    by its window (``_window_symbols``).  A map without a window returns a
-    stored image of x as it is; otherwise it walks the orbit, splices on a
-    stored image of a shift, and stores the image of x.  A periodic image
-    whose pairs of consecutive symbols the target's ``adjacent`` memo
-    already answers True is a point of the target; any other image is
-    validated in full."""
+    table.  A map with a window reads each step's symbol by its window
+    (``_window_symbols``).  A map without a window returns a stored image
+    of x as it is; otherwise it walks the orbit, splices on a stored image
+    of a shift, and stores the image of x.  A periodic image whose pairs
+    of consecutive symbols the target's ``adjacent`` memo already answers
+    True is a point of the target; any other image is validated in full."""
     m, steps = orbit_closure(x)
     table = phi.table
     if phi.window is None:
@@ -324,11 +301,11 @@ def eval_map(phi, x: Point) -> Point:
         known = table.get(key)
         if known is not None:
             return known
-        syms, scan = _orbit_symbols(phi, x, steps), True
+        syms = _orbit_symbols(phi, x, steps)
     else:
-        syms, scan = _window_symbols(phi, x, steps)
-    emitter_at = None if not scan else next(
-        (i for i, s in enumerate(syms) if isinstance(s, MinimalEmitter)), None)
+        syms = _window_symbols(phi, x, steps)
+    emitter_at = next((i for i, s in enumerate(syms)
+                       if isinstance(s, MinimalEmitter)), None)
     if emitter_at is not None:
         tail = syms[emitter_at]
         # once the orbit closes at (m, m + p), checking the computed symbols
@@ -381,36 +358,32 @@ def _orbit_symbols(phi, x: Point, steps: int) -> list:
     return syms
 
 
-def _window_symbols(phi, x: Point, steps: int) -> tuple[list, bool]:
+def _window_symbols(phi, x: Point, steps: int) -> list:
     """The first image symbols of x and its next ``steps - 1`` shifts, for
-    a map with a window w, and whether they may hold an emitter symbol:
-    the symbol at step i depends on the coordinates x_{i+1}..x_{i+w} only,
-    so the first steps + w - 1 coordinates are read once, every step's
-    window is looked up in the map's table in one pass, and a shifted point
-    is built only for a window not in the table, in order of the steps."""
+    a map with a window w: the symbol at step i depends on the coordinates
+    x_{i+1}..x_{i+w} only, so the first steps + w - 1 coordinates are read
+    once, every step's window is looked up in the map's table in one pass,
+    and a shifted point is built only for a window not in the table, in
+    order of the steps."""
     w, table = phi.window, phi.table
     coords = prefix(x, steps + w - 1)
     # with w = 0 no schema reads a coordinate and every key is ()
     keys = list(zip(*(coords[j:j + steps] for j in range(w)))) if w \
         else [()] * steps
     syms = list(map(table.get, keys))
-    # an emitter held as the walk began, or stored since (and maybe dropped)
-    scan = table.emitted
     if None in syms:
         cur, at = x, 0  # the shift of x built last, and how far it is
         for i in range(syms.index(None), steps):
             if syms[i] is not None:
                 continue
             # a window missed twice in this call is stored at its first
-            sym = table.get(keys[i])
-            if sym is None:
+            syms[i] = table.get(keys[i])
+            if syms[i] is None:
                 for _ in range(i - at):
                     cur = shift(cur)
                 at = i
-                sym = table.store(keys[i], phi.symbol_at(cur))
-                scan = scan or isinstance(sym, MinimalEmitter)
-            syms[i] = sym
-    return syms, scan
+                syms[i] = table.store(keys[i], phi.symbol_at(cur))
+    return syms
 
 
 def _check_output(h: Ultragraph, out: Point) -> None:
@@ -460,16 +433,26 @@ def validate_partition(phi, samples) -> Verdict:
 
 
 def check_commuting(phi, samples, depth: int = 16) -> Verdict:
-    """Compare the image of the shifted point with the shifted image.
+    """Whether the map commutes with the shift on the samples.
 
-    ``phi`` may be a presentation (evaluated along the orbit) or a raw
-    point-to-point callable; partition-presented maps commute by
-    construction, so for them this is a self-test."""
+    A map with ``symbol_at`` (a presentation or a ``RuleMap``) reads
+    coordinate i of an image as ``symbol_at`` of the (i-1)-th shift, so
+    ``Φ(σx) = σΦ(x)`` is an identity and the shift of a point of the
+    target is one too: each sample is evaluated once, at x, and a
+    ``MapError`` from its image is the only way the check goes wrong.  A
+    raw point-to-point callable is compared on ``depth`` coordinates of the
+    images of x and its shift."""
+    if hasattr(phi, "symbol_at"):
+        for x in samples:
+            eval_map(phi, x)
+        return Verdict("commuting", HOLDS,
+                       "Φ(σx) = σΦ(x) by construction: coordinate i of an "
+                       "image is symbol_at of the (i-1)-th shift, and every "
+                       "sample's image resolved",
+                       bounds={"samples": len(samples)}, exact=True)
     bounds = {"samples": len(samples), "depth": depth}
-    raw = callable(phi) and not hasattr(phi, "symbol_at")
-    image = phi if raw else functools.partial(eval_map, phi)
     for x in samples:
-        lhs, rhs = image(shift(x)), image(x)
+        lhs, rhs = phi(shift(x)), phi(x)
         for i in range(1, depth + 1):
             if coordinate(lhs, i) != coordinate(rhs, i + 1):
                 return Verdict(

@@ -121,16 +121,10 @@ class PcSchema:
             return "pc-empty"
         end = "*" if self.has_rep() else str(self.anchor + len(self.atoms) - 1)
         body = " ".join(str(a) for a in self.atoms)
-        d = self.param_domain
-        if d is None:
+        if self.param_domain is None:
             return f"pc {self.anchor}..{end} : {body}"
-        # the DSL's iset form, one item per span, so the schema parses
-        # back; the empty domain has none and keeps the set form
-        dom = ",".join(
-            "Z" if lo is None and hi is None else f"<={hi}" if lo is None
-            else f">={lo}" if hi is None else str(lo) if lo == hi
-            else f"{lo}..{hi}" for lo, hi in d.spans) or str(d)
-        return f"pc {self.anchor}..{end} : {body} ; k in {dom}"
+        return (f"pc {self.anchor}..{end} : {body} ; "
+                f"k in {self.param_domain.literal()}")
 
 
 EMPTY_PC = PcSchema(1, ())

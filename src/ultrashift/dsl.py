@@ -4,9 +4,11 @@ A document is a sequence of ``ultragraph``, ``map`` and ``point``
 definitions.  Index domains are N (indices >= 0), Z, Z* (nonzero), a
 finite interval ``[a..b]``, or a half line ``>=a`` / ``<=a``.  Sources and
 ranges are piecewise in the edge index ``k``; guards are conjunctions of
-comparisons on ``k``.  Map classes hold schema bodies (``pc`` lines) or
-named oracles resolved from a registry; class symbols may be indexed
-families.  Parse errors carry line and column plus a recovery hint.
+comparisons on ``k`` and span lists (``k in 0..2,>=4``).  Map classes
+hold schema bodies (``pc`` lines) or named oracles resolved from a
+registry; class symbols may be indexed families.  Point literals must be
+points of their graph.  Parse errors carry line and column plus a
+recovery hint.
 
 Example::
 
@@ -43,7 +45,7 @@ from .graphs import (
     Ultragraph,
 )
 from .intsets import AffineIndexMap, IndexSet, SymbolicSet
-from .points import FinitePoint, PeriodicPoint
+from .points import FinitePoint, PeriodicPoint, validate_point
 
 
 class ParseError(ValueError):
@@ -275,7 +277,10 @@ class _Parser:
         while True:
             self.eat_name("k", "guards compare the index variable k")
             op = self.peek()
-            if op.kind == "==":
+            if self.at_name("in"):
+                self.next()
+                acc = acc.intersect(self.iset())
+            elif op.kind == "==":
                 self.next()
                 acc = acc.intersect(IndexSet.of(self.int_value()))
             elif op.kind == ">=":
@@ -285,7 +290,7 @@ class _Parser:
                 self.next()
                 acc = acc.intersect(IndexSet.at_most(self.int_value()))
             else:
-                self.fail("expected ==, >= or <= in a guard")
+                self.fail("expected ==, >=, <= or 'in' in a guard")
             if self.at_name("and"):
                 self.next()
                 continue
@@ -644,6 +649,19 @@ class _Parser:
         self.doc.points[name] = (gname, pt)
 
     def point_literal(self, g: Ultragraph):
+        """A fin: or inf: literal that is a point of g; what else makes it
+        no point of g, "unknown:" warnings aside, is a ParseError at its
+        start."""
+        t = self.peek()
+        pt = self._point_body(g)
+        problems = [p for p in validate_point(g, pt)
+                    if not p.startswith("unknown:")]
+        if problems:
+            raise ParseError(f"not a point of {g.name}: "
+                             + "; ".join(problems), t.line, t.col)
+        return pt
+
+    def _point_body(self, g: Ultragraph):
         t = self.expect("name", "fin or inf")
         if t.value not in ("fin", "inf"):
             raise ParseError("point literals start with fin: or inf:",
@@ -731,7 +749,9 @@ def _print_domain(dom: IndexSet) -> str:
 
 
 def _print_guard(g: IndexSet) -> str:
-    if len(g.spans) != 1:
+    if len(g.spans) > 1:
+        return f"k in {g.literal()}"
+    if not g.spans:
         raise ValueError(f"guard {g} has no literal form")
     lo, hi = g.spans[0]
     if lo is not None and lo == hi:

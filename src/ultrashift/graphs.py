@@ -39,19 +39,29 @@ INSTANTIATE_CAP = 64
 # is then reported unsaturated; read at call time.
 CLOSURE_CAP = 1000
 
-# Query answers are memoized per graph; a memo holding this many entries
-# is emptied before it takes another, so walks far from the index origin
-# cannot grow it without bound.
+# Query answers are memoized per graph and per map; a memo holding this
+# many entries is emptied before it takes another, so walks far from the
+# index origin cannot grow it without bound.
 EDGE_MEMO_CAP = 1 << 14
 
 _MISS = object()
 
 
+class Memo(dict):
+    """A capped memo: ``store`` empties it first when it holds
+    ``EDGE_MEMO_CAP`` answers, a cap read at each call."""
+
+    def store(self, key, value):
+        if len(self) >= EDGE_MEMO_CAP:
+            self.clear()
+        self[key] = value
+        return value
+
+
 def memoized(query):
     """Memoize a graph query, a method or a function whose first argument
-    is the graph, in ``graph._memos[query name]``, keyed by its other
-    positional arguments and emptied when it holds ``EDGE_MEMO_CAP``
-    answers."""
+    is the graph, in the ``Memo`` ``graph._memos[query name]``, keyed by
+    its other positional arguments."""
     name = query.__name__
 
     @functools.wraps(query)
@@ -59,9 +69,7 @@ def memoized(query):
         memo = self._memos[name]
         got = memo.get(args, _MISS)
         if got is _MISS:
-            if len(memo) >= EDGE_MEMO_CAP:
-                memo.clear()
-            got = memo[args] = query(self, *args)
+            got = memo.store(args, query(self, *args))
         return got
     return answer
 
@@ -189,7 +197,7 @@ class Ultragraph:
                 for vf, _ in rc.atoms:
                     if vf not in self.vertex_families:
                         raise GraphError(f"unknown vertex family {vf}")
-        self._memos = defaultdict(dict)  # filled by @memoized queries
+        self._memos = defaultdict(Memo)  # filled by @memoized queries
 
     # -- elementary queries --------------------------------------------
 

@@ -198,22 +198,21 @@ class IndexSet:
             (None if hi is None else b - hi, None if lo is None else b - lo)
             for lo, hi in self.spans)
 
+    def literal(self) -> str:
+        """The DSL's span list, one item per span, which parses back; the
+        empty set has none and keeps the set form."""
+        return ",".join(_span_text(lo, hi, "Z")
+                        for lo, hi in self.spans) or str(self)
+
     def __str__(self) -> str:
-        if not self.spans:
-            return "{}"
-        bits = []
-        for lo, hi in self.spans:
-            if lo is None and hi is None:
-                bits.append("*")
-            elif lo is None:
-                bits.append(f"<={hi}")
-            elif hi is None:
-                bits.append(f">={lo}")
-            elif lo == hi:
-                bits.append(str(lo))
-            else:
-                bits.append(f"{lo}..{hi}")
-        return "{" + ", ".join(bits) + "}"
+        return "{" + ", ".join(_span_text(lo, hi, "*")
+                               for lo, hi in self.spans) + "}"
+
+
+def _span_text(lo: int | None, hi: int | None, whole: str) -> str:
+    return whole if lo is None and hi is None else f"<={hi}" if lo is None \
+        else f">={lo}" if hi is None else str(lo) if lo == hi \
+        else f"{lo}..{hi}"
 
 
 @dataclass(frozen=True)

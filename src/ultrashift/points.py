@@ -109,13 +109,8 @@ def shift(x: Point) -> Point:
     """Drop the first coordinate; zero-length points are fixed."""
     if isinstance(x, FinitePoint):
         return FinitePoint(x.path[1:], x.tail) if x.path else x
-    # the shift of a canonical point is canonical, so __post_init__'s
-    # canonicalization is skipped
-    y = object.__new__(PeriodicPoint)
-    object.__setattr__(y, "preamble", x.preamble[1:])
-    object.__setattr__(y, "cycle", x.cycle if x.preamble
-                       else x.cycle[1:] + x.cycle[:1])
-    return y
+    return PeriodicPoint(x.preamble[1:], x.cycle if x.preamble
+                         else x.cycle[1:] + x.cycle[:1])
 
 
 def shift_n(x: Point, n: int) -> Point:
@@ -145,7 +140,6 @@ def validate_point(g: Ultragraph, x: Point) -> list[str]:
     turn, and each that does not connect is a problem.  An edge outside the
     graph that this walk or the tail's range meets is the one problem, as
     in ``validate_ultrapath``."""
-    legal, complete = g.minimal_infinite_emitters()  # tails of length 0
     finite = isinstance(x, FinitePoint)
     edges = x.path if finite else x.preamble + x.cycle + x.cycle[:1]
     try:
@@ -155,8 +149,10 @@ def validate_point(g: Ultragraph, x: Point) -> list[str]:
             problems = [f"{prev} does not connect to {nxt}"
                         for prev, nxt in zip(edges, edges[1:])
                         if not edges_adjacent(g, prev, nxt)]
-        if finite and x.path and x.tail is not None:
-            legal = g.range_emitters(x.path[-1])
+        if finite:  # tails of length 0, or those the path's range emits
+            legal, complete = g.minimal_infinite_emitters()
+            if x.path and x.tail is not None:
+                legal = g.range_emitters(x.path[-1])
     except (GraphError, KeyError):
         # an edge outside its family's domain, or of no family of g
         missing = next((e for e in edges if not g.has_edge(e)), None)

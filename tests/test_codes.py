@@ -33,7 +33,7 @@ from ultrashift.corpus import (
     n,
 )
 from ultrashift.definable import LitAtom, PcSchema, VarAtom
-from ultrashift import graphs
+from ultrashift import codes, graphs
 from ultrashift.intsets import IndexSet, SymbolicSet
 from ultrashift.paths import Ultrapath
 from ultrashift.points import (
@@ -234,10 +234,28 @@ def test_prepending_map_does_not_commute():
     assert verdict.witness[1] == 1
 
 
-def test_left_shift_identity_on_fixture_maps():
+def test_a_presented_map_is_evaluated_once_per_sample(monkeypatch):
+    # Φ(σx) = σΦ(x) holds by construction, so only x's image is asked for
+    asked = []
+    real = codes.eval_map
+    monkeypatch.setattr(codes, "eval_map",
+                        lambda phi, x: (asked.append(x), real(phi, x))[1])
     for fx in (FA, FB, FD):
-        verdict = check_commuting(fx.phi, fx.sample_pool(20), depth=12)
-        assert verdict.status == "holds"
+        pool = fx.sample_pool(20)
+        for phi in (fx.phi, RuleMap(fx.source, fx.target, fx.phi.symbol_at)):
+            asked.clear()
+            verdict = check_commuting(phi, pool, depth=12)
+            assert asked == pool
+            assert verdict.status == "holds" and verdict.exact
+            assert verdict.bounds == {"samples": len(pool)}
+            assert "Φ(σx) = σΦ(x)" in verdict.detail
+
+
+def test_a_sample_the_map_refuses_escapes_the_commuting_check():
+    def rule(x):
+        raise MapError("no symbol")
+    with pytest.raises(MapError, match="no symbol"):
+        check_commuting(RuleMap(FA.source, FA.target, rule), FA.sample_pool(3))
 
 
 def test_period_preservation_examples():

@@ -183,22 +183,21 @@ def test_domain_forms():
 
 
 def _random_graph_text(rng: random.Random) -> str:
-    # stay inside the printable class: guards clip to single spans
-    dom = rng.choice(["N", "Z*", "[0..4]", ">=1"])
+    # a guard clipped to the domain may hold several spans: a point cut out
+    # of the domain, or a half line across Z*'s hole
+    dom, inner = rng.choice([("N", [1, 2, 3]), ("Z*", [-3, -1, 1, 2]),
+                             ("[0..4]", [1, 2, 3]), (">=1", [2, 3])])
     vdom = rng.choice(["N", "Z", "[0..6]"])
-    split = rng.choice([None, 1, 2]) if dom != "Z*" else \
-        rng.choice([None, -1])
+    op = rng.choice([None, "<=", ">=", "=="])
     lines = [
         "ultragraph R {",
         f"  vertices v over {vdom}",
         f"  edges p over {dom} {{",
         "    source v[0]" if vdom != "Z" else "    source v[k]",
     ]
-    if split is not None:
-        lines.append(f"    range v[0] when k <= {split}")
-        lines.append(f"    range v[0], v[1] when k >= {split + 1}")
-    else:
-        lines.append("    range v[0], v[1]")
+    if op is not None:
+        lines.append(f"    range v[0] when k {op} {rng.choice(inner)}")
+    lines.append("    range v[0], v[1]")
     lines.append("  }")
     lines.append("}")
     return "\n".join(lines)
@@ -303,12 +302,29 @@ point mixed of G = inf: d f[3] (f[1] d)*
     assert dsl.parse(printed).points == doc.points
 
 
+@pytest.mark.parametrize("edges, guard", [
+    ("e over N { source v[0]  range v[0] when k == 3  range v[0], v[k] }",
+     "k in 0..2,>=4"),
+    ("f over Z* { source v[0]  range v[0] when k >= -3  range v[0], v[1] }",
+     "k in -3..-1,>=1"),
+])
+def test_a_guard_of_several_spans_prints_as_a_span_list(edges, guard):
+    doc = dsl.parse(
+        f"ultragraph G {{\n  vertices v over N\n  edges {edges}\n}}")
+    printed = dsl.print_document(doc)
+    assert f"when {guard}\n" in printed
+    assert dsl.parse(printed).graphs["G"].edge_families == \
+        doc.graphs["G"].edge_families
+
+
 def test_parse_print_parse_is_stable_on_generated_documents():
     rng = random.Random(0)
+    spans = set()
     for i in range(50):
         text = _random_graph_text(rng)
         doc = dsl.parse(text)
         printed = dsl.print_document(doc)
+        spans.add(" k in " in printed)
         doc2 = dsl.parse(printed)
         for name, g in doc.graphs.items():
             g2 = doc2.graphs[name]
@@ -316,6 +332,7 @@ def test_parse_print_parse_is_stable_on_generated_documents():
             assert tuple(g2.edge_families.values()) == \
                 tuple(g.edge_families.values()), text
         assert dsl.print_document(doc2) == printed
+    assert spans == {True, False}
 
 
 def test_fixture_documents_round_trip():
@@ -392,6 +409,32 @@ def test_cli_eval_and_exit_codes(doc, phi, point, depth, detail, capsys):
                  "--depth", depth, "--format", "json"]) == 0
     [record] = json.loads(capsys.readouterr().out)["records"]
     assert record["detail"] == detail
+
+
+@pytest.mark.parametrize("point, message", [
+    ("all_e0", "error: 'all_e0' is a point of G, not of H"),
+    ("inf: f[1] f[2] (f[3])*",
+     "parse error: 1:1: not a point of H: f[1] does not connect to f[2]"),
+])
+def test_a_point_the_map_cannot_read_is_a_usage_error(point, message,
+                                                      capsys):
+    # PhiInv reads H; neither point is a point of H
+    path = str(DOCS[0].parent / "example_d.ug")
+    assert main(["eval", path, "--map", "PhiInv", "--point", point]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith(message) and not out.out
+
+
+def test_a_document_point_off_the_graph_is_a_positioned_parse_error():
+    text = GRAPH_H + "point bad of H = inf: f[1] (f[2])*\n"
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse(text)
+    assert (err.value.line, err.value.col) == (len(text.splitlines()), 18)
+    assert "not a point of H: f[1] does not connect to f[2]" in \
+        str(err.value)
+    # a periodic point is checked by its pairs alone, with no closure work
+    doc = dsl.parse(GRAPH_H + "point good of H = inf: f[-2] f[-1] (f[1])*\n")
+    assert set(doc.graphs["H"]._memos) == {"source", "range_of", "adjacent"}
 
 
 def test_cli_check_csc_json(doc_file, capsys):

@@ -192,21 +192,14 @@ def test_a_table_is_emptied_at_the_cap(monkeypatch):
          list(FA.points.values()))]
     want = [_probe_all(fresh(phi), pool[:6]) for phi, pool in cases]
     monkeypatch.setattr(graphs, "EDGE_MEMO_CAP", 3)
-    resets = 0  # stores that emptied a table of its emitters
     for (phi, pool), expected in zip(cases, want):
         phi = fresh(phi)
         asked = asking(phi)
         sizes = []
 
         def storing(key, value, store=phi.table.store, table=phi.table):
-            nonlocal resets
-            held = table.emitted
             got = store(key, value)
             sizes.append(len(table))
-            # the flag goes with the emptied table's emitters
-            assert table.emitted == any(isinstance(s, MinimalEmitter)
-                                        for s in table.values())
-            resets += held and not table.emitted
             return got
         phi.table.store = storing
         assert _probe_all(phi, pool[:6]) == expected, phi
@@ -214,7 +207,6 @@ def test_a_table_is_emptied_at_the_cap(monkeypatch):
                 for y in asked}
         assert len(keys) > 3
         assert sizes and max(sizes) <= 3
-    assert resets > 0
 
 
 # -- where tables live -------------------------------------------------------------
@@ -264,6 +256,35 @@ def test_no_module_level_memo_dict():
                         "WeakKeyDictionary", "WeakValueDictionary")):
                 found.append(f"{mod}:{node.lineno}")
     assert found == []
+
+
+def _cap_readers(node, scope=()) -> list:
+    """The scopes (dotted function and class names) that read
+    ``EDGE_MEMO_CAP`` below node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        elif _name(child) == "EDGE_MEMO_CAP" and \
+                isinstance(child.ctx, ast.Load):
+            found.append(".".join(scope))
+        found += _cap_readers(child, inner)
+    return found
+
+
+def test_one_memo_type_holds_the_cap():
+    # one cache policy: the cap is read by Memo.store alone, and every
+    # graph memo and map table stores through it
+    assert [(mod, scope) for mod, tree in _modules()
+            for scope in _cap_readers(tree)] == [("graphs.py", "Memo.store")]
+    for phi, points in _maps():
+        for x in points:
+            probe_continuity(phi, x)
+        assert type(phi.table) is graphs.Memo and phi.table
+        for g in (phi.source, phi.target):
+            assert g._memos.default_factory is graphs.Memo
+            assert {type(m) for m in g._memos.values()} == {graphs.Memo}
 
 
 def _maps():
