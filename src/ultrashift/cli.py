@@ -29,7 +29,7 @@ from .codes import (
 )
 from .definable import (AuditError, SetOracle, audit_refutation,
                         refute_finitely_defined)
-from .graphs import MinimalEmitter, validate_ultragraph
+from .graphs import EdgeRef, MinimalEmitter, validate_ultragraph
 from .intsets import SymbolicSet
 from .paths import PathError, enumerate_blocks
 from .points import (
@@ -37,6 +37,7 @@ from .points import (
     RepeatFamily,
     check_convergence,
     coordinate,
+    hard_problems,
     length,
     orbit_closure,
     prefix,
@@ -261,9 +262,30 @@ def _audit(phi, v: Verdict) -> Verdict:
             ok = isinstance(sym, MinimalEmitter) and length(v.witness) != 0
             return Verdict(name, HOLDS if ok else FAILS,
                            "witness re-checked" if ok else "mismatch")
+        if v.check in ("csc-item-ii", "genchl-iia", "genchl-iib"):
+            return _audit_escape(phi, name, v.witness)
         return Verdict(name, UNKNOWN, "no audit hook for this check")
     except _PACKAGE_ERRORS as err:
         return Verdict(name, UNKNOWN, f"audit error: {err}")
+
+
+def _audit_escape(phi, name: str, w: dict) -> Verdict:
+    """Re-check an escape witness: every example is a point of the source
+    through the prefix, on an edge of the escaping family that no other
+    example takes, and the map gives it the recorded first symbol."""
+    n, taken = len(w["prefix"]), set()
+    for x, sym in w["examples"]:
+        e = coordinate(x, n + 1)
+        if prefix(x, n) != w["prefix"] or hard_problems(phi.source, x) or \
+                not isinstance(e, EdgeRef) or e in taken or \
+                not w["escaping-family"].contains(*e) or \
+                phi.symbol_at(x) != sym:
+            return Verdict(name, FAILS, f"example {x} does not re-check")
+        taken.add(e)
+    if not taken:
+        return Verdict(name, FAILS, "the witness holds no example")
+    return Verdict(name, HOLDS, f"{len(taken)} escaping points re-checked "
+                                "on distinct extension edges")
 
 
 def cmd_refute_fd(args) -> Report:

@@ -38,13 +38,13 @@ from .points import (
     block_witness,
     check_convergence,
     coordinate,
+    hard_problems,
     length,
     orbit_closure,
     prefix,
     prepend,
     shift,
     shift_n,
-    validate_point,
 )
 from .verdicts import FAILS, HOLDS, NOT_APPLICABLE, UNKNOWN, Verdict
 
@@ -127,7 +127,8 @@ class SchemaClass:
 
     def covers_symbol(self, sym) -> IndexSet | None:
         """For a family class, the parameter values mapping to ``sym``;
-        for a fixed class, a truthy empty marker when the symbol matches."""
+        for a fixed class, all of Z (``IndexSet.all()``) when the symbol
+        matches; None when the class never gives ``sym``."""
         if self.symbol is not None:
             return IndexSet.all() if sym == self.symbol else None
         if not isinstance(sym, EdgeRef) or sym.family != self.family:
@@ -269,12 +270,7 @@ def _edge_point(g: Ultragraph, e: EdgeRef):
 
 def _valid_witness(g: Ultragraph, syms: tuple):
     w = block_witness(g, Block(tuple(syms)), WITNESS_INDEX_BOUND)
-    return None if w is None or _problems(g, w) else w
-
-
-def _problems(g: Ultragraph, x: Point) -> list:
-    """What makes x no point of g, without the "unknown:" warnings."""
-    return [p for p in validate_point(g, x) if not p.startswith("unknown:")]
+    return None if w is None or hard_problems(g, w) else w
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -387,7 +383,7 @@ def _window_symbols(phi, x: Point, steps: int) -> list:
 
 
 def _check_output(h: Ultragraph, out: Point) -> None:
-    problems = _problems(h, out)
+    problems = hard_problems(h, out)
     if problems:
         raise MapError(f"image {out} is not a point of the target shift: "
                        + "; ".join(problems))
@@ -486,13 +482,17 @@ def check_period_preservation(phi, x: Point) -> Verdict:
 class EdgeConstraint:
     """First-extension edges leading into a class, as a symbolic set.
 
-    ``kind`` records the approximation direction: "over" sets contain every
-    true extension edge (exact when the flag is set), "under" sets were
-    found by sampling and may miss edges."""
+    ``kind`` records the approximation: "exact" sets are the true
+    extension edges, "over" sets contain every one of them, "under" sets
+    were found by sampling and may miss edges, and "mixed" sets join
+    sampled parts to symbolic ones."""
 
     edges: SymbolicSet
-    exact: bool
-    kind: str = "over"
+    kind: str
+
+    @property
+    def exact(self) -> bool:
+        return self.kind == "exact"
 
 
 def _schema_first_edges(
@@ -509,7 +509,7 @@ def _schema_first_edges(
     if s.anchor > n + 1:
         # the window only constrains deeper coordinates; any first edge
         # might admit a matching continuation
-        return EdgeConstraint(g.all_edges(), False)
+        return EdgeConstraint(g.all_edges(), "over")
     result = SymbolicSet.empty()
     exact = True
     # expand a repetition as far as the window interacts with positions
@@ -523,7 +523,7 @@ def _schema_first_edges(
         exact = exact and ex
     if result.is_empty() and exact:
         return None
-    return EdgeConstraint(result, exact)
+    return EdgeConstraint(result, "exact" if exact else "over")
 
 
 def _aligned_first_edges(g: Ultragraph, s: PcSchema, prefix: tuple,
@@ -573,7 +573,7 @@ def first_edges_into_class(phi, cls, prefix: tuple,
             w = _try_point(g, tuple(prefix) + (e,))
             if w is not None and cls.member(w):
                 found.append((fam, IndexSet.of(idx)))
-        return EdgeConstraint(SymbolicSet.of(*found), False, "under")
+        return EdgeConstraint(SymbolicSet.of(*found), "under")
     total = SymbolicSet.empty()
     exact = True
     for item in cls.body:
@@ -586,7 +586,7 @@ def first_edges_into_class(phi, cls, prefix: tuple,
         # only edges continuing the path are real extensions; sinkless
         # graphs then always admit a completion, keeping exactness
         total = total.intersect(g.successor_edges(prefix[-1]))
-    return EdgeConstraint(total, exact)
+    return EdgeConstraint(total, "exact" if exact else "over")
 
 
 # -- good/bad symbol bookkeeping -----------------------------------------------
@@ -605,45 +605,47 @@ class SymbolSet:
         return self.edges.contains(sym.family, sym.index)
 
 
-def _bad_symbol_params(cls, good: SymbolSet) -> IndexSet | None:
-    """For a family class: parameter values whose symbol is outside
-    ``good``; for fixed classes: the full line when the symbol is bad."""
-    if cls.symbol is not None:
-        return None if good.contains(cls.symbol) else IndexSet.all()
-    fam_part = good.edges.part(cls.family)
-    bad_idx = cls.index_domain.difference(
-        cls.index_map.preimage(fam_part, IndexSet.all()))
-    return None if bad_idx.is_empty() else bad_idx
-
-
 def escaping_edges(phi, prefix: tuple, tail: MinimalEmitter,
                    good: SymbolSet) -> EdgeConstraint:
     """Extension edges after (prefix, tail) whose continuations can map to
-    a first symbol outside ``good``.
+    a first symbol outside ``good``."""
+    return _reaching_edges(phi, prefix, tail, *_outside(good))
 
-    Over-approximated symbolically through the classes when available;
-    under-approximated by direct sampling for rule maps."""
+
+def _outside(good: SymbolSet):
+    """The symbols outside ``good``, as ``_reaching_edges`` reads them: in
+    a family class the parameter values whose symbol is outside, in a
+    fixed class the full line when its symbol is."""
+    def bad_params(cls) -> IndexSet | None:
+        if cls.symbol is not None:
+            return None if good.contains(cls.symbol) else IndexSet.all()
+        bad = cls.index_domain.difference(cls.index_map.preimage(
+            good.edges.part(cls.family), IndexSet.all()))
+        return None if bad.is_empty() else bad
+    return bad_params, lambda sym: not good.contains(sym)
+
+
+def _equal_to(c: EdgeRef):
+    """The one symbol c, as ``_reaching_edges`` reads it."""
+    return lambda cls: cls.covers_symbol(c), lambda sym: sym == c
+
+
+def _reaching_edges(phi, prefix: tuple, tail: MinimalEmitter, params_of,
+                    counts) -> EdgeConstraint:
+    """Extension edges after (prefix, tail) whose continuations can map to
+    a first symbol the check counts: over-approximated through the classes
+    for which ``params_of(cls)`` is not None (in a family class, the
+    parameter values that count), and for a rule map under-approximated by
+    reading ``counts`` at concrete points through sampled edges."""
+    eps = phi.source.epsilon(tail.vertices)
     if not phi.classes:
-        found = SymbolicSet.empty()
-        for fam, idx in phi.source.epsilon(tail.vertices).sample(
-                SAMPLE_TRIES):
-            e = EdgeRef(fam, idx)
-            got = _witness_through_edge(phi, prefix, e, good, tries=4)
-            if got is not None:
-                found = found.union(SymbolicSet.singleton(fam, idx))
-        return EdgeConstraint(found, False, "under")
-    return _edges_into_classes(
-        phi, prefix, tail, lambda cls: _bad_symbol_params(cls, good))
-
-
-def _edges_into_classes(phi, prefix: tuple, tail: MinimalEmitter,
-                        params_of) -> EdgeConstraint:
-    """Extension edges after (prefix, tail) that can lead into a class for
-    which ``params_of(cls)`` is not None; for a family class those are the
-    parameter values that count."""
+        found = [(fam, IndexSet.of(idx))
+                 for fam, idx in eps.sample(SAMPLE_TRIES)
+                 if _witness_through_edge(phi, prefix, EdgeRef(fam, idx),
+                                          counts, tries=4) is not None]
+        return EdgeConstraint(SymbolicSet.of(*found), "under")
     total = SymbolicSet.empty()
-    exact = True
-    kind = "over"
+    kinds = set()
     for cls in phi.classes:
         params = params_of(cls)
         if params is None:
@@ -651,14 +653,12 @@ def _edges_into_classes(phi, prefix: tuple, tail: MinimalEmitter,
         restrict = None if cls.symbol is not None else params
         got = first_edges_into_class(phi, cls, prefix, restrict)
         total = total.union(got.edges)
-        exact = exact and got.exact
-        if got.kind == "under":
-            # a sampled class may hide edges, so the union is no longer
-            # a certified cover
-            exact = False
-            kind = "mixed"
-    return EdgeConstraint(total.intersect(phi.source.epsilon(tail.vertices)),
-                          exact, kind)
+        kinds.add(got.kind)
+    # a sampled class may hide edges, so the union is no longer a
+    # certified cover
+    kind = "mixed" if "under" in kinds else \
+        "over" if "over" in kinds else "exact"
+    return EdgeConstraint(total.intersect(eps), kind)
 
 
 def _first_symbols(phi, prefix: tuple, edges: SymbolicSet, count: int):
@@ -677,17 +677,18 @@ def _first_symbols(phi, prefix: tuple, edges: SymbolicSet, count: int):
         yield e, w, sym
 
 
-def _witness_through_edge(phi, prefix: tuple, e: EdgeRef, good: SymbolSet,
+def _witness_through_edge(phi, prefix: tuple, e: EdgeRef, counts,
                           tries: int = 12):
-    """A concrete point through ``prefix + e`` whose first image symbol is
-    bad, verified by direct evaluation: the point through ``prefix + e``
-    first, then points through it and a sampled successor edge."""
+    """A concrete point through ``prefix + e`` and its first image symbol,
+    which the check counts, verified by direct evaluation: the point
+    through ``prefix + e`` first, then points through it and a sampled
+    successor edge."""
     through = tuple(prefix) + (e,)
     for _, w, sym in itertools.chain(
             _first_symbols(phi, prefix, SymbolicSet.singleton(*e), 1),
             _first_symbols(phi, through, phi.source.successor_edges(e),
                            tries)):
-        if not good.contains(sym):
+        if counts(sym):
             return w, sym
     return None
 
@@ -801,17 +802,20 @@ def check_genchl_iia(phi, x_bar: FinitePoint) -> Verdict:
                        f"image has length {length(img)}")
     B = img.tail
     good = SymbolSet(h.epsilon(B.vertices), (B,))
-    return _escape_verdict("genchl-iia", phi, x_bar.path, x_bar.tail, good,
-                           {"tries": SAMPLE_TRIES})
+    return _escape_verdict("genchl-iia", phi, x_bar.path, x_bar.tail,
+                           *_outside(good), {"tries": SAMPLE_TRIES})
 
 
 def _escape_verdict(check: str, phi, prefix: tuple, tail: MinimalEmitter,
-                    good: SymbolSet, bounds: dict) -> Verdict:
-    """The verdict on the escape set after (prefix, tail): it holds when
-    finitely many extension edges lead outside ``good`` (the witness is
-    that excluded set) and fails when infinitely many do, confirmed by
-    concrete escaping points."""
-    bad = escaping_edges(phi, prefix, tail, good)
+                    params_of, counts, bounds: dict) -> Verdict:
+    """The verdict on the extension edges after (prefix, tail) that can map
+    to a symbol the check counts (``_reaching_edges``).  It holds when
+    finitely many do (the witness is that set), and fails when infinitely
+    many do, confirmed by three concrete points through the prefix on
+    distinct edges among seven sampled from the set; the witness holds
+    the prefix, the set and those (point, first image symbol) examples.
+    A rule map's sampled set holds only when it is empty."""
+    bad = _reaching_edges(phi, prefix, tail, params_of, counts)
     if bad.kind == "under":
         if bad.edges.is_empty():
             return Verdict(check, HOLDS,
@@ -821,35 +825,26 @@ def _escape_verdict(check: str, phi, prefix: tuple, tail: MinimalEmitter,
                        "sampled escapes found; finiteness undecidable for "
                        "a rule-presented map", bad.edges, bounds)
     if bad.edges.is_finite():
-        note = {"over": "over-approximate", "mixed":
+        note = {"exact": "exact", "over": "over-approximate", "mixed":
                 "oracle classes sampled; bounded evidence only"}[bad.kind]
-        if bad.exact:
-            note = "exact"
         return Verdict(check, HOLDS,
                        f"finite escape set F' = {bad.edges}; {note}",
                        bad.edges, bounds, exact=bad.exact)
-    verified = _verify_infinite_escape(phi, prefix, bad.edges, good)
-    if verified:
-        return Verdict(check, FAILS,
-                       "infinitely many extension edges escape; every "
-                       "finite excluded set admits an escaping point",
-                       verified, bounds)
+    found = []
+    for fam, idx in bad.edges.sample(7):
+        got = _witness_through_edge(phi, prefix, EdgeRef(fam, idx), counts)
+        if got is not None:
+            found.append(got)
+        if len(found) == 3:
+            return Verdict(check, FAILS,
+                           "infinitely many extension edges escape; every "
+                           "finite excluded set admits an escaping point",
+                           {"prefix": tuple(prefix),
+                            "escaping-family": bad.edges,
+                            "examples": found}, bounds)
     return Verdict(check, UNKNOWN,
                    "symbolic escape set is infinite but no concrete witness "
                    "was confirmed", bad.edges, bounds)
-
-
-def _verify_infinite_escape(phi, prefix, bad_edges: SymbolicSet,
-                            good: SymbolSet):
-    """Three escaping points among seven sampled edges, or None."""
-    found = []
-    for fam, idx in bad_edges.sample(7):
-        got = _witness_through_edge(phi, prefix, EdgeRef(fam, idx), good)
-        if got is not None:
-            found.append(got)
-        if len(found) >= 3:
-            return {"escaping-family": bad_edges, "examples": found}
-    return None
 
 
 def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet) -> Verdict:
@@ -864,13 +859,15 @@ def check_csc_item_ii(phi, x_bar: FinitePoint, F: SymbolicSet) -> Verdict:
     B = img.tail
     shifted = shift_n(x_bar, l)
     good = SymbolSet(h.epsilon(B.vertices).difference(F), (B,))
-    return _escape_verdict("csc-item-ii", phi, shifted.path, x_bar.tail, good,
+    return _escape_verdict("csc-item-ii", phi, shifted.path, x_bar.tail,
+                           *_outside(good),
                            {"tries": SAMPLE_TRIES, "F": str(F)})
 
 
 def compute_A_x(phi, x_bar: FinitePoint, x: Point):
     """Extension edges after x_bar's path that can produce the same first
-    image symbol as x.  Returns (symbolic edge set, finite flag, exact
+    image symbol as x, computed as every escape set is
+    (``_reaching_edges``).  Returns (symbolic edge set, finite flag, exact
     flag)."""
     for i, edge in enumerate(x_bar.path):
         if coordinate(x, i + 1) != edge:
@@ -878,43 +875,41 @@ def compute_A_x(phi, x_bar: FinitePoint, x: Point):
     c = coordinate(eval_map(phi, x), 1)
     if isinstance(c, MinimalEmitter):
         raise MapError("the first image symbol must be an edge")
-    if phi.classes:
-        got = _edges_into_classes(phi, x_bar.path, x_bar.tail,
-                                  lambda cls: cls.covers_symbol(c))
-        result, exact = got.edges, got.exact
-    else:
-        # rule maps: sampled under-approximation
-        eps = phi.source.epsilon(x_bar.tail.vertices)
-        same = [(e.family, IndexSet.of(e.index)) for e, _, sym in
-                _first_symbols(phi, x_bar.path, eps, SAMPLE_TRIES)
-                if sym == c]
-        result, exact = SymbolicSet.of(*same), False
-    return result, result.is_finite(), exact
+    got = _reaching_edges(phi, x_bar.path, x_bar.tail, *_equal_to(c))
+    return got.edges, got.edges.is_finite(), got.exact
 
 
 def check_genchl_iib(phi, x_bar: FinitePoint) -> Verdict:
     """The extension-edge sets A_x must be finite for every extension whose
-    first image symbol is an edge emitted by the image tail."""
+    first image symbol is an edge emitted by the image tail.  The A_x of
+    each sampled extension goes to ``_escape_verdict``, whose failure
+    witness, with A_x as its escaping family, gains the extension."""
     g, h = phi.source, phi.target
     img = eval_map(phi, x_bar)
     if length(img) != 0:
         return Verdict("genchl-iib", NOT_APPLICABLE, "image not length zero")
     B = img.tail
     eps_B = h.epsilon(B.vertices)
-    checked = 0
-    for e, w, c in _first_symbols(phi, x_bar.path,
-                                  g.epsilon(x_bar.tail.vertices), 6):
+    bounds = {"extensions": 6, "sampled": 0, "tries": SAMPLE_TRIES}
+    undecided = None
+    for e, w, c in _first_symbols(phi, x_bar.path, g.epsilon(
+            x_bar.tail.vertices), bounds["extensions"]):
         if isinstance(c, MinimalEmitter) or not eps_B.contains(c.family, c.index):
             continue
-        a_x, finite, _exact = compute_A_x(phi, x_bar, w)
-        checked += 1
-        if not finite:
-            return Verdict("genchl-iib", FAILS,
-                           f"A_x infinite for extension {e} (symbol {c})",
-                           (w, a_x), {"tries": SAMPLE_TRIES})
-    return Verdict("genchl-iib", HOLDS,
-                   f"finite extension sets at {checked} sampled extensions",
-                   bounds={"sampled": checked, "tries": SAMPLE_TRIES})
+        # every verdict below shares bounds, so it echoes the final count
+        bounds["sampled"] += 1
+        v = _escape_verdict("genchl-iib", phi, x_bar.path, x_bar.tail,
+                            *_equal_to(c), bounds)
+        about = f"extension {e} (symbol {c})"
+        if v.status == FAILS:
+            return Verdict("genchl-iib", FAILS, f"A_x infinite for {about}",
+                           {"extension": w, **v.witness}, bounds)
+        if v.status == UNKNOWN and undecided is None:
+            undecided = Verdict("genchl-iib", UNKNOWN, f"A_x undecided for "
+                                f"{about}: {v.detail}", v.witness, bounds)
+    return undecided if undecided is not None else Verdict(
+        "genchl-iib", HOLDS, f"finite extension sets at {bounds['sampled']} "
+        "sampled extensions", bounds=bounds)
 
 
 def check_csc_item_iii(phi, A: MinimalEmitter, M: int = 4) -> Verdict:

@@ -2,7 +2,7 @@
 
 A document is a sequence of ``ultragraph``, ``map`` and ``point``
 definitions.  Index domains are N (indices >= 0), Z, Z* (nonzero), a
-finite interval ``[a..b]``, or a half line ``>=a`` / ``<=a``.  Sources and
+finite interval ``[a..b]``, or a span list (``0..2,>=4``).  Sources and
 ranges are piecewise in the edge index ``k``; guards are conjunctions of
 comparisons on ``k`` and span lists (``k in 0..2,>=4``).  Map classes
 hold schema bodies (``pc`` lines) or named oracles resolved from a
@@ -45,7 +45,7 @@ from .graphs import (
     Ultragraph,
 )
 from .intsets import AffineIndexMap, IndexSet, SymbolicSet
-from .points import FinitePoint, PeriodicPoint, validate_point
+from .points import FinitePoint, PeriodicPoint, hard_problems
 
 
 class ParseError(ValueError):
@@ -198,7 +198,7 @@ class _Parser:
                 self.next()
                 vname = self.expect("name").value
                 self.eat_name("over")
-                vfams[vname] = self.domain()
+                vfams[vname] = self.iset()
             elif self.at_name("edges"):
                 efams.append(self.edge_family(vfams))
             else:
@@ -210,36 +210,6 @@ class _Parser:
             self.fail(f"invalid ultragraph {name}: {err}",
                       "guards must partition each index domain")
         self.doc.graphs[name] = g
-
-    def domain(self) -> IndexSet:
-        t = self.peek()
-        if t.kind == "name" and t.value == "N":
-            self.next()
-            return IndexSet.at_least(0)
-        if t.kind == "name" and t.value == "Z":
-            self.next()
-            if self.peek().kind == "*":
-                self.next()
-                return IndexSet.nonzero()
-            return IndexSet.all()
-        if t.kind == ">=":
-            self.next()
-            return IndexSet.at_least(self.int_value())
-        if t.kind == "<=":
-            self.next()
-            return IndexSet.at_most(self.int_value())
-        if t.kind == "[":
-            self.next()
-            lo = self.int_value()
-            self.expect("..")
-            hi = self.int_value()
-            self.expect("]")
-            if lo > hi:
-                self.fail(f"empty interval [{lo}..{hi}]",
-                          "swap the endpoints")
-            return IndexSet.between(lo, hi)
-        self.fail("expected an index domain",
-                  "one of N, Z, Z*, [a..b], >=a, <=a")
 
     def int_value(self) -> int:
         neg = False
@@ -345,7 +315,7 @@ class _Parser:
         self.next()  # 'edges'
         ename = self.expect("name").value
         self.eat_name("over")
-        dom = self.domain()
+        dom = self.iset()
         self.expect("{")
         sources: list = []
         ranges: list = []
@@ -514,11 +484,30 @@ class _Parser:
                   "run the emitters command to list them")
 
     def iset(self) -> IndexSet:
-        """N, Z, Z* or [a..b] as an index domain, or comma-separated spans,
-        each ``a``, ``a..b``, ``>=a`` or ``<=a``."""
+        """N, Z, Z*, [a..b], or comma-separated spans, each ``a``,
+        ``a..b``, ``>=a`` or ``<=a``."""
         t = self.peek()
-        if t.kind == "[" or (t.kind == "name" and t.value in ("N", "Z")):
-            return self.domain()
+        if t.kind == "name" and t.value in ("N", "Z"):
+            self.next()
+            if t.value == "N":
+                return IndexSet.at_least(0)
+            if self.peek().kind == "*":
+                self.next()
+                return IndexSet.nonzero()
+            return IndexSet.all()
+        if t.kind == "[":
+            self.next()
+            lo = self.int_value()
+            self.expect("..")
+            hi = self.int_value()
+            self.expect("]")
+            if lo > hi:
+                self.fail(f"empty interval [{lo}..{hi}]",
+                          "swap the endpoints")
+            return IndexSet.between(lo, hi)
+        if t.kind not in ("int", "-", ">=", "<="):
+            self.fail("expected an index set",
+                      "N, Z, Z*, [a..b], or spans a, a..b, >=a, <=a")
         spans = [self.span()]
         while self.peek().kind == ",":
             self.next()
@@ -654,8 +643,7 @@ class _Parser:
         start."""
         t = self.peek()
         pt = self._point_body(g)
-        problems = [p for p in validate_point(g, pt)
-                    if not p.startswith("unknown:")]
+        problems = hard_problems(g, pt)
         if problems:
             raise ParseError(f"not a point of {g.name}: "
                              + "; ".join(problems), t.line, t.col)
@@ -731,23 +719,6 @@ def parse_point_literal(g: Ultragraph, text: str):
 # -- printing ---------------------------------------------------------------------
 
 
-def _print_domain(dom: IndexSet) -> str:
-    if dom == IndexSet.at_least(0):
-        return "N"
-    if dom == IndexSet.all():
-        return "Z"
-    if dom == IndexSet.nonzero():
-        return "Z*"
-    if dom.is_finite() and len(dom.spans) == 1:
-        lo, hi = dom.spans[0]
-        return f"[{lo}..{hi}]"
-    if len(dom.spans) == 1 and dom.spans[0][1] is None:
-        return f">={dom.spans[0][0]}"
-    if len(dom.spans) == 1 and dom.spans[0][0] is None:
-        return f"<={dom.spans[0][1]}"
-    raise ValueError(f"domain {dom} has no literal form")
-
-
 def _print_guard(g: IndexSet) -> str:
     if len(g.spans) > 1:
         return f"k in {g.literal()}"
@@ -785,9 +756,9 @@ def _print_vset(const: SymbolicSet, atoms, domains: dict) -> str:
 def print_graph(g: Ultragraph) -> str:
     lines = [f"ultragraph {g.name} {{"]
     for vname, dom in g.vertex_families.items():
-        lines.append(f"  vertices {vname} over {_print_domain(dom)}")
+        lines.append(f"  vertices {vname} over {dom.literal()}")
     for ef in g.edge_families.values():
-        lines.append(f"  edges {ef.name} over {_print_domain(ef.domain)} {{")
+        lines.append(f"  edges {ef.name} over {ef.domain.literal()} {{")
         for sc in ef.source:
             guard = "" if sc.guard == ef.domain else \
                 f" when {_print_guard(sc.guard)}"

@@ -171,6 +171,11 @@ def validate_point(g: Ultragraph, x: Point) -> list[str]:
     return problems
 
 
+def hard_problems(g: Ultragraph, x: Point) -> list[str]:
+    """What makes x no point of g, without the "unknown:" warnings."""
+    return [p for p in validate_point(g, x) if not p.startswith("unknown:")]
+
+
 # -- concatenation and prefixes ---------------------------------------------
 
 

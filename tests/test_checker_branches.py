@@ -1,7 +1,12 @@
 """Checker branches the fixture verdicts do not reach: rule-presented maps,
 sampled oracle classes, item iii's coverage through family and oracle
-classes, and a failing finite-extension condition (iib)."""
+classes, a failing finite-extension condition (iib), and the rule twins
+of maps built to fail an escape condition."""
 
+import pytest
+
+from helpers_maps import everything_to_e1, escaping_map, rule_twin
+from ultrashift.cli import _audit
 from ultrashift.codes import (
     MapPresentation,
     OracleClass,
@@ -136,16 +141,46 @@ def test_item_iii_coverage_skips_an_oracle_class():
 
 
 def test_genchl_iib_fails_when_an_edge_symbol_has_infinitely_many_sources():
-    phi = MapPresentation(GA, HA, [
-        SchemaClass([PcSchema(1, (LitAtom(A_W),))], symbol=B_V),
-        SchemaClass([PcSchema(1, (LitAtom(d()),)),
-                     PcSchema(1, (VarAtom("f"),), IndexSet.at_least(1))],
-                    symbol=e(1)),
-    ], label="everything to e[1]")
+    phi = everything_to_e1()
     v = check_genchl_iib(phi, ZERO)
     assert v.status == "fails"
     assert v.detail == "A_x infinite for extension d[0] (symbol e[1])"
-    point, a_x = v.witness
-    assert coordinate(point, 1) == d()
-    assert a_x == SymbolicSet.of(("d", IndexSet.of(0)),
-                                 ("f", IndexSet.at_least(1)))
+    assert v.bounds == {"extensions": 6, "sampled": 1, "tries": 24}
+    w = v.witness
+    assert coordinate(w["extension"], 1) == d()
+    assert w["escaping-family"] == SymbolicSet.of(("d", IndexSet.of(0)),
+                                                  ("f", IndexSet.at_least(1)))
+    assert [sym for _, sym in w["examples"]] == [e(1)] * 3
+    assert _audit(phi, v).status == "holds"
+
+
+def test_rule_map_extension_sets_leave_iib_unknown():
+    v = check_genchl_iib(rule_twin(everything_to_e1()), ZERO)
+    assert v.status == "unknown"
+    assert v.detail.startswith(
+        "A_x undecided for extension d[0] (symbol e[1]): sampled escapes")
+    assert v.witness.contains("d", 0) and v.witness.contains("f", 1)
+
+
+ESCAPE_CHECKS = [
+    lambda phi: check_csc_item_ii(phi, ZERO, SymbolicSet.empty()),
+    lambda phi: check_csc_item_ii(phi, ZERO, SymbolicSet.singleton("e", 1)),
+    lambda phi: check_genchl_iia(phi, ZERO),
+    lambda phi: check_genchl_iib(phi, ZERO),
+]
+
+
+@pytest.mark.parametrize("build", [everything_to_e1, escaping_map])
+def test_a_rule_twin_never_holds_where_its_schema_map_fails(build):
+    # the twin reads only concrete first symbols, so it may not decide,
+    # but it must not hold where the classes prove an infinite escape
+    phi = build()
+    twin = rule_twin(phi)
+    failed = []
+    for check in ESCAPE_CHECKS:
+        v = check(phi)
+        if v.status == "fails":
+            failed.append(v.check)
+            assert _audit(phi, v).status == "holds", v.check
+            assert check(twin).status != "holds", v.check
+    assert failed

@@ -48,6 +48,9 @@ from ultrashift.points import (
     shift_n,
 )
 from ultrashift import sampling
+from ultrashift.cli import _audit
+from ultrashift.verdicts import Verdict
+from helpers_maps import escaping_map
 from helpers_oracle import CAPS, apply_cap, fresh, outcome, reference_eval
 
 FA = build_fixture("a")
@@ -410,21 +413,37 @@ def test_genchl_iia_on_fixture_a():
 def test_genchl_iia_fails_on_infinitely_many_violators():
     # extensions by f[j], j >= 2 map to an edge whose source is outside the
     # image tail, and no finite excluded set can remove them all
-    phi = MapPresentation(GA, HD, [
-        SchemaClass([PcSchema(1, (LitAtom(A_W),))], symbol=P),
-        SchemaClass([PcSchema(1, (VarAtom("f"),), IndexSet.at_least(2))],
-                    symbol=f(1)),
-        SchemaClass([PcSchema(1, (LitAtom(d()),)),
-                     PcSchema(1, (LitAtom(f(1)),))], symbol=f(-1)),
-    ], label="escaping crafted map")
+    phi = escaping_map()
     v = check_genchl_iia(phi, FinitePoint((), A_W))
     assert v.status == "fails"
-    assert v.witness["examples"]
+    assert v.witness["prefix"] == ()
+    assert v.witness["escaping-family"] == SymbolicSet.of(
+        ("f", IndexSet.at_least(2)))
+    assert [sym for _, sym in v.witness["examples"]] == [f(1)] * 3
+    assert _audit(phi, v).status == "holds"
+
+
+def test_escape_audit_refuses_a_witness_it_cannot_reproduce():
+    phi = escaping_map()
+    v = check_genchl_iia(phi, FinitePoint((), A_W))
+    x, sym = v.witness["examples"][0]
+    for changed in ({"examples": [(x, f(-1))]},
+                    {"examples": [(x, sym), (x, sym)]},
+                    {"examples": [(FinitePoint((), A_W), sym)]},
+                    {"examples": []},
+                    {"prefix": (f(2),)},
+                    {"escaping-family": SymbolicSet.singleton("f", 3)}):
+        forged = Verdict(v.check, "fails", v.detail, {**v.witness, **changed})
+        assert _audit(phi, forged).status == "fails", changed
 
 
 def test_genchl_iib_on_fixture_a():
     v = check_genchl_iib(FA.phi, FinitePoint((), A_W))
     assert v.status == "holds"
+    # six sampled extensions bound the verdict, and every one is echoed
+    assert v.bounds["extensions"] == 6 and v.bounds["tries"] == 24
+    assert v.detail == \
+        f"finite extension sets at {v.bounds['sampled']} sampled extensions"
 
 
 def test_compute_A_x_single_schema_class():

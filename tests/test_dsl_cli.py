@@ -335,8 +335,23 @@ def test_parse_print_parse_is_stable_on_generated_documents():
     assert spans == {True, False}
 
 
+# a domain of several spans, which `over` reads as a span list
+GRAPH_SPANS = """
+ultragraph S {
+  vertices v over 0..2,>=4
+  edges e over 0..2,>=4 {
+    source v[k]
+    range v[0] when k == 0
+    range v[0], v[k] when k in 1..2,>=4
+  }
+}
+"""
+
+
 def test_fixture_documents_round_trip():
-    for g in (graph_a_source(), graph_d_source(), graph_d_target()):
+    spans = dsl.parse(GRAPH_SPANS).graphs["S"]
+    assert spans.vertex_families["v"] == IndexSet([(0, 2), (4, None)])
+    for g in (graph_a_source(), graph_d_source(), graph_d_target(), spans):
         printed = dsl.print_graph(g)
         doc = dsl.parse(printed)
         g2 = doc.graphs[g.name]
@@ -678,8 +693,9 @@ def test_eval_error_is_an_error_record(doc_file, capsys, monkeypatch):
         ("fails", "image left the target shift", "((d[0])* ...)")
 
 
-# a class of e[1] that overlaps the family class, and a tail class that
-# also takes points starting with d
+# a class of e[1] that overlaps the family class, every edge to e[1] (so
+# infinitely many extension edges reach e[1]), and a tail class that also
+# takes points starting with d
 AUDITED_MAPS = GRAPH_A_WITH_MAP + """
 map Overlap : G -> H {
   class e[1] {
@@ -687,6 +703,14 @@ map Overlap : G -> H {
     pc 1..1 : f[1]
   }
   class e[j] for j in >=1 { pc 1..1 : f[j] }
+  class tail(auto) { pc 1..1 : tail(auto) }
+}
+
+map Everything : G -> H {
+  class e[1] {
+    pc 1..1 : d
+    pc 1..1 : f[k] ; k in >=1
+  }
   class tail(auto) { pc 1..1 : tail(auto) }
 }
 
@@ -703,6 +727,7 @@ map Shrink : G -> H {
 @pytest.mark.parametrize("kind, name, check", [
     ("commute", "Overlap", "partition"),
     ("length-preserving", "Shrink", "length-preserving"),
+    ("genchl", "Everything", "genchl-iib"),
 ])
 def test_check_audit_reproduces_the_witness(tmp_path, capsys, kind, name,
                                             check):

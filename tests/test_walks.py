@@ -26,7 +26,7 @@ from helpers_random import identity_map, mirror_map, random_family_graph
 from ultrashift import dsl, graphs, sampling
 from ultrashift.codes import (MapError, MapPresentation, OracleClass,
                               PartitionError, RuleMap, SchemaClass,
-                              _problems, _try_point, _window_symbols)
+                              _try_point, _window_symbols)
 from ultrashift.corpus import (build_fixture, d, e, f, finite_cycle_graph,
                                registry)
 from ultrashift.definable import LitAtom, PcSchema, RepAtom, VarAtom
@@ -36,8 +36,8 @@ from ultrashift.paths import Block
 from ultrashift.points import (ConvergenceBounds, FinitePoint,
                                PeriodicPoint, RepeatFamily, _agreement,
                                _primitive, block_witness, check_convergence,
-                               coordinate, length, orbit_closure, prefix,
-                               shift_n, validate_point)
+                               coordinate, hard_problems, length,
+                               orbit_closure, prefix, shift_n, validate_point)
 
 FIXTURES = [build_fixture(name) for name in "abcd"]
 FA = FIXTURES[0]
@@ -535,7 +535,7 @@ def test_agreement_depths_read_the_definition_in_each_case():
 
 def _reference_point(g, syms):
     w = block_witness(g, Block(tuple(syms)), 8)
-    return None if w is None or _problems(g, w) else w
+    return None if w is None or hard_problems(g, w) else w
 
 
 SINK = dsl.parse("""ultragraph S {
