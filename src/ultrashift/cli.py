@@ -204,8 +204,11 @@ def _error(check: str, err: Exception) -> Verdict:
     return Verdict(check, ERROR, f"{type(err).__name__}: {err}")
 
 
-def _check_verdicts(kind: str, phi, samples):
-    """The verdicts of one check kind, in order, each as it is reached."""
+def _check_verdicts(kind: str, phi):
+    """The verdicts of one check kind, in order, each as it is reached;
+    the kinds that read a sample pool draw one 40-point pool, seed 0."""
+    if kind in ("commute", "length-preserving"):
+        samples = sampling.point_pool(phi.source, random.Random(0))
     if kind == "commute":
         yield validate_partition(phi, samples)
         yield check_commuting(phi, samples)
@@ -229,11 +232,10 @@ def _check_verdicts(kind: str, phi, samples):
 def cmd_check(args) -> Report:
     doc, _ = _load(args.file)
     phi = _map_from(doc, args.map)
-    samples = sampling.point_pool(phi.source, random.Random(0))
     report = Report(f"check {args.kind}")
     verdicts = []
     try:
-        for v in _check_verdicts(args.kind, phi, samples):
+        for v in _check_verdicts(args.kind, phi):
             verdicts.append(v)
     except _PACKAGE_ERRORS as err:
         verdicts.append(_error(f"check {args.kind}", err))

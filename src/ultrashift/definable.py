@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import EdgeRef, Ultragraph, bounded_edges
+from .graphs import EdgeRef, Ultragraph
 from .intsets import AffineIndexMap, IDENTITY_MAP, IndexSet, SymbolicSet
 from .paths import Block, PathError, Ultrapath, enumerate_blocks
 from .points import (
@@ -524,7 +524,7 @@ def _fill_gaps(g: Ultragraph, atoms: list, gaps: list[int], lo: int,
         yield list(atoms)
         return
     emitters, _ = g.minimal_infinite_emitters()
-    options = bounded_edges(g.all_edges(), index_bound) + list(emitters)
+    options = [*g.bounded_all_edges(index_bound, 0), *emitters]
     for combo in itertools.product(options, repeat=len(gaps)):
         filled = list(atoms)
         for pos, sym in zip(gaps, combo):

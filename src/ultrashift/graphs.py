@@ -216,6 +216,11 @@ class Ultragraph:
                                 for f, ef in self.edge_families.items()))
 
     @memoized
+    def bounded_all_edges(self, bound: int, widen: int) -> tuple:
+        """``bounded_edges`` of all edges of the graph, as a tuple."""
+        return tuple(bounded_edges(self.all_edges(), bound, widen))
+
+    @memoized
     def source(self, e: EdgeRef) -> tuple[str, int]:
         ef = self.edge_families[e.family]
         for sc in ef.source:

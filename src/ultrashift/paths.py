@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeRef, MinimalEmitter, Ultragraph, bounded_edges
+from .graphs import EdgeRef, MinimalEmitter, Ultragraph
 from .intsets import SymbolicSet
 
 
@@ -161,7 +161,7 @@ def enumerate_blocks(g: Ultragraph, n: int, index_bound: int) -> list[Block]:
     if n < 1:
         raise ValueError("block length must be at least 1")
     emitters, _ = g.minimal_infinite_emitters()
-    first: list = bounded_edges(g.all_edges(), index_bound) + list(emitters)
+    first = [*g.bounded_all_edges(index_bound, 0), *emitters]
     words = [[s] for s in first]
     for _ in range(n - 1):
         grown = []

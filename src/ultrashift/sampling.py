@@ -2,8 +2,11 @@
 
 Bounded-index random walks: candidates are always drawn near the index
 origin first, widening the bound a few times if a range only reaches far
-vertices.  Used by property tests and by the bounded sides of the
-checkers.
+vertices.  Each draw reads the graph's memos (``bounded_all_edges``,
+``bounded_successors``, ``range_emitters``), so a pool of many points on
+one graph bounds each edge set once.  A graph on which no point can be
+drawn raises ``PointError``.  Used by property tests and by the bounded
+sides of the checkers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 from .graphs import EdgeRef, Ultragraph, bounded_edges
 from .intsets import IndexSet, SymbolicSet
 from .paths import Ultrapath
-from .points import Cylinder, FinitePoint, PeriodicPoint, Point
+from .points import Cylinder, FinitePoint, PeriodicPoint, Point, PointError
 
 
 # how often a draw may widen its index bound when nothing lies within it
@@ -21,9 +24,9 @@ WIDEN = 2
 
 
 def random_edge(g: Ultragraph, rng: random.Random, bound: int = 8) -> EdgeRef:
-    cands = bounded_edges(g.all_edges(), bound, WIDEN)
+    cands = g.bounded_all_edges(bound, WIDEN)
     if not cands:
-        raise ValueError(f"no edges within index bound on {g.name}")
+        raise PointError(f"no edges within index bound on {g.name}")
     return rng.choice(cands)
 
 
@@ -81,7 +84,7 @@ def random_point(g: Ultragraph, rng: random.Random, bound: int = 8) -> Point:
         return pp
     fp = random_finite_point(g, rng, bound=bound)
     if fp is None:
-        raise ValueError(f"could not sample a point of {g.name}")
+        raise PointError(f"could not sample a point of {g.name}")
     return fp
 
 

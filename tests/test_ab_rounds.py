@@ -1,5 +1,6 @@
 """tools/ab_rounds.py runs a workload of two checkouts in a process pair
-and reports each side's verdicts per second and their ratio."""
+and reports each side's verdicts per second and set-up seconds, and
+their ratios."""
 
 import pathlib
 import re
@@ -18,9 +19,14 @@ def test_one_pair_of_one_round_reports_both_sides():
     lines = out.splitlines()
     assert lines[0] == "A/B: gsbc-probe seed 3, 1 pairs of 1 rounds per side"
     got = re.fullmatch(r"  pair 1 \(PYTHONHASHSEED=1000\): A ([\d.]+) "
-                       r"B ([\d.]+) verdicts/s, B/A ([\d.]+)", lines[1])
+                       r"B ([\d.]+) verdicts/s, B/A ([\d.]+); "
+                       r"set-up A ([\d.]+) B ([\d.]+) s, B/A ([\d.]+)",
+                       lines[1])
     assert got and all(float(v) > 0 for v in got.groups())
-    assert lines[2].startswith("  median B/A ") and len(lines) == 3
+    assert lines[2].startswith("  median B/A ")
+    assert re.fullmatch(r"  median set-up B/A ([\d.]+), B lower in [01] of "
+                        r"1 pairs \(range ([\d.]+)-([\d.]+)\)", lines[3])
+    assert len(lines) == 4
 
 
 def test_refuses_a_missing_checkout_and_empty_runs():

@@ -645,6 +645,42 @@ def test_checker_error_is_an_error_record(tmp_path, capsys, kind):
         assert records[0]["check"] == "csc-item-i"
 
 
+# w[1] is a sink, so the sampler finds no point of G
+SINK_WITH_MAP = """
+ultragraph G {
+  vertices w over [0..1]
+  edges e over [0..0] { source w[0] range w[1] }
+}
+map Id : G -> G { class e[0] { pc 1..1 : e[0] } }
+"""
+
+
+@pytest.mark.parametrize("kind", ["commute", "length-preserving"])
+def test_a_graph_without_sampled_points_is_an_error_record(tmp_path, capsys,
+                                                           kind):
+    p = tmp_path / "sink.ug"
+    p.write_text(SINK_WITH_MAP)
+    detail = "PointError: could not sample a point of G"
+    assert main(["check", kind, str(p), "--map", "Id"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"[{'error':>14}] check {kind} | {detail}"]
+    assert main(["check", kind, str(p), "--map", "Id",
+                 "--format", "json"]) == 1
+    [record] = json.loads(capsys.readouterr().out)["records"]
+    assert (record["check"], record["status"], record["detail"]) == \
+        (f"check {kind}", "error", detail)
+
+
+@pytest.mark.parametrize("kind", ["csc", "genchl"])
+def test_checks_that_read_no_pool_draw_none(tmp_path, capsys, kind):
+    # item i and the zero-length points answer without a sample pool
+    p = tmp_path / "sink.ug"
+    p.write_text(SINK_WITH_MAP)
+    assert main(["check", kind, str(p), "--map", "Id"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"[{'holds':>14}] csc-item-i | ")
+
+
 @pytest.mark.parametrize("argv, checker", [
     (["converge", "DOC", "--seq", "a.dn_f1", "--target", "target",
       "--graph", "G"], "check_convergence"),

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from ultrashift.corpus import (
+    build_fixture,
     f,
     graph_a_source,
     graph_b,
@@ -16,7 +17,7 @@ from ultrashift.corpus import (
     graph_sinky,
     finite_cycle_graph,
 )
-from ultrashift import graphs
+from ultrashift import graphs, sampling
 from ultrashift.definable import SchemaError, decompose_cylinder
 from ultrashift.graphs import (
     EdgeFamily,
@@ -37,7 +38,7 @@ from ultrashift.intsets import (
     shift_map,
 )
 from ultrashift.paths import Ultrapath
-from ultrashift.points import Cylinder
+from ultrashift.points import Cylinder, FinitePoint, PeriodicPoint
 
 P = SymbolicSet.of(("w", IndexSet.at_most(-1)))
 Q = SymbolicSet.of(("w", IndexSet.at_least(1)))
@@ -361,13 +362,22 @@ def _cold_answers(g, e, nxt):
             tuple(successors.contains(*e2) for e2 in nxt))
 
 
+def _far_graph():
+    """A ray of edges that starts at index 5, so no edge lies within an
+    index bound below 5 and a draw must widen."""
+    n = IndexSet.at_least(5)
+    return Ultragraph("Far", {"w": n}, [EdgeFamily(
+        "e", n, (SourceCase(n, "w", IDENTITY_MAP),),
+        (RangeCase(n, atoms=(("w", shift_map(1)),)),))])
+
+
 def test_memoized_edge_answers_match_a_fresh_graph():
     from helpers_random import random_family_graph
 
     rng = random.Random(17)
     checked = 0
-    for tag in range(12):
-        g = random_family_graph(rng, tag)
+    for g in [random_family_graph(rng, tag) for tag in range(12)] + \
+            [_far_graph()]:
         edges = _edges_near_origin(g)
         for _ in range(2):  # the second pass reads the memo
             for e in edges:
@@ -377,20 +387,101 @@ def test_memoized_edge_answers_match_a_fresh_graph():
                         tuple(g.adjacent(e, e2) for e2 in edges))
                 assert warm == _cold_answers(g, e, edges), (g.name, e)
                 checked += 1
+            for bound, widen in itertools.product((1, 2, 3), (0, 2)):
+                assert g.bounded_all_edges(bound, widen) == tuple(
+                    bounded_edges(_fresh_copy(g).all_edges(), bound, widen))
     assert checked > 100
+    # the far graph's edges lie beyond 3 and are found after one widening,
+    # to the bound 12
+    assert g.bounded_all_edges(3, 0) == ()
+    assert g.bounded_all_edges(3, 2) == tuple(
+        EdgeRef("e", k) for k in range(5, 13))
+
+
+def _reference_pool(g, rng, size=40, bound=8):
+    """``sampling.point_pool`` of g drawn as the sampler draws it, from a
+    copy of g that reads plain ``bounded_edges`` of the whole graph and of
+    an edge's successors, and the emitters in a range, at every draw."""
+    h = _fresh_copy(g)
+    emitters = h.minimal_infinite_emitters()[0]
+
+    def near(edges):
+        return bounded_edges(edges, bound, sampling.WIDEN)
+
+    def walk(steps):
+        path = [rng.choice(near(h.all_edges()))]
+        for _ in range(steps - 1):
+            cands = near(h.epsilon(h.range_of(path[-1])))
+            if not cands:
+                break
+            path.append(rng.choice(cands))
+        return path
+
+    def periodic():
+        path, seen = walk(8), {}
+        for i, e in enumerate(path):
+            if e in seen:
+                return PeriodicPoint(tuple(path[:seen[e]]),
+                                     tuple(path[seen[e]:i]))
+            seen[e] = i
+        cands = near(h.epsilon(h.range_of(path[-1])))
+        for i, e in enumerate(path):
+            if e in cands:
+                return PeriodicPoint(tuple(path[:i]), tuple(path[i:]))
+        return None
+
+    def finite():
+        if not emitters:
+            return None
+        if rng.random() < 0.2:
+            return FinitePoint((), rng.choice(emitters))
+        for _ in range(6):
+            path = walk(rng.randint(1, 5))
+            tails = h.minimal_emitters_in(h.range_of(path[-1]))[0]
+            if tails:
+                return FinitePoint(tuple(path), rng.choice(tails))
+        return FinitePoint((), rng.choice(emitters))
+
+    pool = [FinitePoint((), m) for m in emitters]
+    while len(pool) < size:
+        x = finite() if rng.random() < 0.5 else None
+        if x is None:
+            x = periodic()
+        pool.append(finite() if x is None else x)
+    return pool
+
+
+def test_point_pools_draw_the_points_of_a_memo_free_sampler():
+    from helpers_random import random_family_graph
+
+    rng = random.Random(31)
+    cases = [build_fixture(name).source for name in "abcd"]
+    cases += [random_family_graph(rng, tag) for tag in range(12)]
+    for g in cases:
+        for seed in range(5):
+            pool = sampling.point_pool(g, random.Random(seed))
+            assert pool == _reference_pool(g, random.Random(seed)), \
+                (g.name, seed)
+            assert len(pool) == 40
 
 
 EDGE_QUERIES = {"source", "range_of", "adjacent", "successor_edges",
                 "successor_sample", "bounded_successors", "range_emitters"}
-GRAPH_QUERIES = {"canonical_shapes", "cores", "range_intersection_closure",
-                 "minimal_infinite_emitters"}
+# queries of the whole graph that take no argument
+PLAIN_GRAPH_QUERIES = {"canonical_shapes", "cores",
+                       "range_intersection_closure",
+                       "minimal_infinite_emitters"}
+GRAPH_QUERIES = PLAIN_GRAPH_QUERIES | {"bounded_all_edges"}
 
 
 def _ask_everything(g, edges, bounds=(1, 2, 3)):
     """Ask every memoized query of g; yield each answer with the answer of
     a copy of g that has answered nothing yet."""
-    for query in GRAPH_QUERIES:
+    for query in PLAIN_GRAPH_QUERIES:
         yield getattr(g, query)(), getattr(_fresh_copy(g), query)()
+    for bound, widen in itertools.product(bounds, (0, 2)):
+        yield g.bounded_all_edges(bound, widen), tuple(bounded_edges(
+            _fresh_copy(g).all_edges(), bound, widen))
     for e in edges:
         h = _fresh_copy(g)
         found, _ = h.minimal_emitters_in(h.range_of(e))
@@ -416,7 +507,9 @@ def test_edge_memo_stays_bounded(monkeypatch):
         assert warm == cold
         assert all(len(memo) <= 4 for memo in g._memos.values())
     assert set(g._memos) == EDGE_QUERIES | GRAPH_QUERIES
-    for query in GRAPH_QUERIES:  # one answer each, handed out again
+    # six bound and widening pairs asked, so that memo was emptied once
+    assert len(g._memos["bounded_all_edges"]) == 6 - 4
+    for query in PLAIN_GRAPH_QUERIES:  # one answer each, handed out again
         assert len(g._memos[query]) == 1
         assert getattr(g, query)() is getattr(g, query)()
 

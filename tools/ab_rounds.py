@@ -7,8 +7,12 @@ moments fall on both sides alike.  A worker's figure is verdicts per
 second as ``bench/run.py`` reads it: the verdict count over the sum of
 each verdict's median time across the worker's rounds.  The tool prints
 every pair's figures and its ratio B/A, then the median ratio and how many
-pairs B led.  With ``--control`` it runs as many A/A pairs, two workers of
-checkout A, whose ratios show how far identical code reads apart.
+pairs B led.  It prints each side's set-up seconds too (package import and
+workload set-up, as ``bench/run.py``'s ``setup_s``), and after the pairs
+their median ratio B/A; the two workers of a pair set up at the same
+moment, so host load falls on both alike.  With ``--control`` it runs as
+many A/A pairs, two workers of checkout A, whose ratios show how far
+identical code reads apart.
 
     python3 tools/ab_rounds.py PARENT CHANGED --workload gsbc-probe \\
         --seed 1 --pairs 6 --rounds 8 --control
@@ -51,14 +55,16 @@ def parse_args(argv=None):
 
 
 def worker(args) -> int:
-    """Set the workload up in checkout A's code, then run one round per
-    line read from standard input and answer with its verdict times."""
+    """Set the workload up in checkout A's code and answer with the
+    seconds that took, then run one round per line read from standard
+    input and answer with its verdict times."""
     root = os.path.abspath(args.a)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
     import runner
 
-    wl, _ = runner.timed_setup(argparse.Namespace(
+    wl, setup_s = runner.timed_setup(argparse.Namespace(
         workload=args.workload, seed=args.seed, scale=1.0))
+    print(json.dumps({"setup_s": setup_s}), flush=True)
     ops = wl.ops()
     for _ in sys.stdin:
         res = runner.run_round(wl, ops)
@@ -81,13 +87,20 @@ class Worker:
         self.samples: list[list[float]] | None = None
         self.failed = 0
 
-    def round(self) -> None:
-        self.proc.stdin.write("round\n")
-        self.proc.stdin.flush()
+    def answer(self) -> dict:
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError("a worker exited early")
-        got = json.loads(line)
+        return json.loads(line)
+
+    def setup_s(self) -> float:
+        """The worker's set-up seconds, its first answer."""
+        return self.answer()["setup_s"]
+
+    def round(self) -> None:
+        self.proc.stdin.write("round\n")
+        self.proc.stdin.flush()
+        got = self.answer()
         if self.samples is None:
             self.samples = [[] for _ in got["latencies"]]
         for acc, dt in zip(self.samples, got["latencies"]):
@@ -102,9 +115,11 @@ class Worker:
         return len(self.samples) / sum(map(statistics.median, self.samples))
 
 
-def run_pair(a: str, b: str, args, hash_seed: int) -> tuple[float, float]:
+def run_pair(a: str, b: str, args, hash_seed: int):
+    """((A, B) verdicts per second, (A, B) set-up seconds) of one pair."""
     first, second = Worker(a, args, hash_seed), Worker(b, args, hash_seed)
     try:
+        setups = first.setup_s(), second.setup_s()
         for r in range(args.rounds):
             # A B, B A, A B, ...: neither side always goes first
             order = (first, second) if r % 2 == 0 else (second, first)
@@ -117,23 +132,29 @@ def run_pair(a: str, b: str, args, hash_seed: int) -> tuple[float, float]:
         if w.failed:
             print(f"  warning: {w.failed} verdicts failed on side {side} "
                   f"through no known fault")
-    return first.verdicts_per_s(), second.verdicts_per_s()
+    return (first.verdicts_per_s(), second.verdicts_per_s()), setups
 
 
 def compare(a: str, b: str, args, title: str) -> None:
     print(f"{title}: {args.workload} seed {args.seed}, {args.pairs} pairs "
           f"of {args.rounds} rounds per side")
-    ratios = []
+    ratios, setup_ratios = [], []
     for k in range(args.pairs):
         hash_seed = HASH_SEED_BASE + k
-        va, vb = run_pair(a, b, args, hash_seed)
+        (va, vb), (sa, sb) = run_pair(a, b, args, hash_seed)
         ratios.append(vb / va)
+        setup_ratios.append(sb / sa)
         print(f"  pair {k + 1} (PYTHONHASHSEED={hash_seed}): A {va:.1f} "
-              f"B {vb:.1f} verdicts/s, B/A {vb / va:.3f}", flush=True)
+              f"B {vb:.1f} verdicts/s, B/A {vb / va:.3f}; set-up A "
+              f"{sa:.3f} B {sb:.3f} s, B/A {sb / sa:.3f}", flush=True)
     ahead = sum(r > 1 for r in ratios)
     print(f"  median B/A {statistics.median(ratios):.3f}, B ahead in "
           f"{ahead} of {len(ratios)} pairs (range {min(ratios):.3f}-"
           f"{max(ratios):.3f})")
+    lower = sum(r < 1 for r in setup_ratios)
+    print(f"  median set-up B/A {statistics.median(setup_ratios):.3f}, B "
+          f"lower in {lower} of {len(setup_ratios)} pairs (range "
+          f"{min(setup_ratios):.3f}-{max(setup_ratios):.3f})")
 
 
 def main(argv=None) -> int:
