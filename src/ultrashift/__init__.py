@@ -53,10 +53,6 @@ from .definable import (
     SetOracle,
     VarAtom,
     decompose_cylinder,
-    fd_intersect,
-    fd_union,
-    pc_contains,
-    pseudo_cylinder,
     refute_finitely_defined,
     validate_fd_presentation,
 )
@@ -74,7 +70,6 @@ from .codes import (
     check_genchl_iia,
     check_genchl_iib,
     check_length_preserving,
-    check_period_preservation,
     compute_A_x,
     eval_map,
     eval_resolved,

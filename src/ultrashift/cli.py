@@ -327,6 +327,14 @@ def cmd_converge(args) -> Report:
     seq = reg[args.seq]
     g = _graph_from(doc, args.graph)
     target = _point_from(doc, g, args.target)
+    # the terms block^1 + tail and block^2 + tail hold every consecutive
+    # pair of any term: in the block, across its wrap, into the tail and
+    # in the tail
+    for n in (1, 2):
+        problems = hard_problems(g, seq.at(n))
+        if problems:
+            raise SystemExit(f"error: term {n} of {args.seq!r} is not a "
+                             f"point of {g.name}: {problems[0]}")
     report = Report("converge")
     try:
         verdict = check_convergence(g, seq, target)

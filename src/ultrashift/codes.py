@@ -425,54 +425,24 @@ def validate_partition(phi, samples) -> Verdict:
                            "depth": PARTITION_DEPTH})
 
 
-# -- commutation and periods ------------------------------------------------------
+# -- commutation ------------------------------------------------------------------
 
 
-def check_commuting(phi, samples, depth: int = 16) -> Verdict:
+def check_commuting(phi, samples) -> Verdict:
     """Whether the map commutes with the shift on the samples.
 
     A map with ``symbol_at`` (a presentation or a ``RuleMap``) reads
     coordinate i of an image as ``symbol_at`` of the (i-1)-th shift, so
     ``Φ(σx) = σΦ(x)`` is an identity and the shift of a point of the
     target is one too: each sample is evaluated once, at x, and a
-    ``MapError`` from its image is the only way the check goes wrong.  A
-    raw point-to-point callable is compared on ``depth`` coordinates of the
-    images of x and its shift."""
-    if hasattr(phi, "symbol_at"):
-        for x in samples:
-            eval_map(phi, x)
-        return Verdict("commuting", HOLDS,
-                       "Φ(σx) = σΦ(x) by construction: coordinate i of an "
-                       "image is symbol_at of the (i-1)-th shift, and every "
-                       "sample's image resolved",
-                       bounds={"samples": len(samples)}, exact=True)
-    bounds = {"samples": len(samples), "depth": depth}
+    ``MapError`` from its image is the only way the check goes wrong."""
     for x in samples:
-        lhs, rhs = phi(shift(x)), phi(x)
-        for i in range(1, depth + 1):
-            if coordinate(lhs, i) != coordinate(rhs, i + 1):
-                return Verdict(
-                    "commuting", FAILS,
-                    f"coordinate {i} of the image of the shift differs "
-                    f"from coordinate {i + 1} of the image", (x, i), bounds)
-    return Verdict("commuting", HOLDS, "images commute with the shift on "
-                   "all samples", bounds=bounds)
-
-
-def check_period_preservation(phi, x: Point) -> Verdict:
-    """A point with shift period p maps to a point with period p."""
-    if isinstance(x, PeriodicPoint):
-        if x.preamble:
-            raise MapError("period preservation needs an exactly periodic point")
-        p = len(x.cycle)
-    elif length(x) == 0:
-        p = 1
-    else:
-        raise MapError("finite points of positive length are not periodic")
-    y = eval_map(phi, x)
-    ok = shift_n(y, p) == y
-    return Verdict("period-preservation", HOLDS if ok else FAILS,
-                   f"input period {p}", (x, y))
+        eval_map(phi, x)
+    return Verdict("commuting", HOLDS,
+                   "Φ(σx) = σΦ(x) by construction: coordinate i of an "
+                   "image is symbol_at of the (i-1)-th shift, and every "
+                   "sample's image resolved",
+                   bounds={"samples": len(samples)}, exact=True)
 
 
 # -- first-extension analysis ------------------------------------------------------
@@ -603,13 +573,6 @@ class SymbolSet:
         if isinstance(sym, MinimalEmitter):
             return any(sym == m for m in self.emitters)
         return self.edges.contains(sym.family, sym.index)
-
-
-def escaping_edges(phi, prefix: tuple, tail: MinimalEmitter,
-                   good: SymbolSet) -> EdgeConstraint:
-    """Extension edges after (prefix, tail) whose continuations can map to
-    a first symbol outside ``good``."""
-    return _reaching_edges(phi, prefix, tail, *_outside(good))
 
 
 def _outside(good: SymbolSet):

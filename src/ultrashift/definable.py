@@ -130,11 +130,6 @@ class PcSchema:
 EMPTY_PC = PcSchema(1, ())
 
 
-def pseudo_cylinder(block: Block, start: int) -> PcSchema:
-    """The concrete pseudo cylinder pinning ``block`` at ``start``."""
-    return PcSchema(start, tuple(LitAtom(s) for s in block.symbols))
-
-
 @dataclass(frozen=True)
 class SchemaMatch:
     param: int | None
@@ -193,10 +188,6 @@ def match_atoms(dom: IndexSet | None, atoms, x: Point, start: int,
         else:
             raise SchemaError("repetition atoms are handled separately")
     return SchemaMatch(param, None, (start, start + len(atoms) - 1))
-
-
-def pc_contains(s: PcSchema, x: Point) -> bool:
-    return match_schema(s, x) is not None
 
 
 def side_matches(schemas, x: Point, max_rep: int = 64):
@@ -337,27 +328,6 @@ def validate_fd_presentation(g: Ultragraph, P: FdPresentation,
                    None, bounds.as_dict())
 
 
-# -- union and intersection -----------------------------------------------------
-
-
-def fd_union(g: Ultragraph, a: FdPresentation,
-             b: FdPresentation) -> FdPresentation:
-    neg = []
-    for s1 in a.negative:
-        for s2 in b.negative:
-            neg.extend(schema_intersect(g, s1, s2, 6, 6))
-    return FdPresentation(a.positive + b.positive, tuple(neg))
-
-
-def fd_intersect(g: Ultragraph, a: FdPresentation,
-                 b: FdPresentation) -> FdPresentation:
-    pos = []
-    for s1 in a.positive:
-        for s2 in b.positive:
-            pos.extend(schema_intersect(g, s1, s2, 6, 6))
-    return FdPresentation(tuple(pos), a.negative + b.negative)
-
-
 def expand_rep(s: PcSchema, rep_bound: int):
     if not s.has_rep():
         return [s]
@@ -386,15 +356,16 @@ def _instantiate(s: PcSchema, j: int) -> PcSchema | None:
 
 
 def schema_intersect(g: Ultragraph, s1: PcSchema, s2: PcSchema,
-                     index_bound: int = 6, rep_bound: int = 6) -> list:
+                     index_bound: int = 6) -> list:
     """Schemas covering the conjunction of two schemas.
 
     Exact for fixed windows with at most one free parameter in play after
-    unification; repetition atoms and unaligned second parameters are
-    expanded up to the given bounds (the result notes say so)."""
+    unification; repetition atoms are expanded up to 6 repeats and
+    unaligned second parameters over [-index_bound, index_bound] (the
+    result notes say so)."""
     out = []
-    for f1 in expand_rep(s1, rep_bound):
-        for f2 in expand_rep(s2, rep_bound):
+    for f1 in expand_rep(s1, 6):
+        for f2 in expand_rep(s2, 6):
             out.extend(_merge_fixed(g, f1, f2, index_bound))
     seen, uniq = set(), []
     for s in out:
@@ -549,9 +520,6 @@ class RefutationResult:
     claim: str
     stuck: list
 
-    def __bool__(self):
-        return self.status == "refuted"
-
 
 def refute_finitely_defined(g: Ultragraph, oracle: SetOracle, x: Point,
                             max_window: int) -> RefutationResult:
@@ -560,7 +528,7 @@ def refute_finitely_defined(g: Ultragraph, oracle: SetOracle, x: Point,
     pseudo cylinders with windows inside [1, max_window] covers x, which
     refutes finite definedness at that bound."""
     if not oracle(x):
-        raise ValueError("refutation needs a point inside the set")
+        raise PointError("refutation needs a point inside the set")
     rows: list[RefutationRow] = []
     stuck: list[tuple[int, int]] = []
     for k in range(1, max_window + 1):

@@ -138,8 +138,7 @@ def validate_point(g: Ultragraph, x: Point) -> list[str]:
     cycle's wrap, are first read in one pass from the graph's ``adjacent``
     memo (``Ultragraph.known_adjacent``); on any miss each pair is asked in
     turn, and each that does not connect is a problem.  An edge outside the
-    graph that this walk or the tail's range meets is the one problem, as
-    in ``validate_ultrapath``."""
+    graph that this walk or the tail's range meets is the one problem."""
     finite = isinstance(x, FinitePoint)
     edges = x.path if finite else x.preamble + x.cycle + x.cycle[:1]
     try:
@@ -180,9 +179,9 @@ def hard_problems(g: Ultragraph, x: Point) -> list[str]:
 
 
 def concat(g: Ultragraph, x: Ultrapath, y: Point) -> Point:
-    """Concatenate an ultrapath with a point; ``paths.concat_paths`` joins
-    two ultrapaths.  y may follow x when s(y) lies in r(x) (as element for
-    positive length, as subset for length zero)."""
+    """Concatenate an ultrapath with a point.  y may follow x when s(y)
+    lies in r(x) (as element for positive length, as subset for length
+    zero)."""
     r = x.terminal
     if length(y) == 0:
         if not y.tail.vertices.subset_of(r):
@@ -203,26 +202,18 @@ def prepend(edges: tuple, y: Point) -> Point:
     return PeriodicPoint(edges + y.preamble, y.cycle)
 
 
-def is_prefix(g: Ultragraph, y: Ultrapath, x):
-    """Whether the ultrapath y is an initial segment of x (an ultrapath or
-    point).  Returns (bool, remainder) with remainder z satisfying
-    x = concat(y, z) when the answer is True."""
+def is_prefix(g: Ultragraph, y: Ultrapath, x: Point):
+    """Whether the ultrapath y is an initial segment of the point x.
+    Returns (bool, remainder) with remainder z satisfying x = concat(y, z)
+    when the answer is True."""
     n = len(y.edges)
-    xlen = len(x.edges) if isinstance(x, Ultrapath) else length(x)
+    xlen = length(x)
     if xlen < n:
         return False, None
     for i in range(n):
-        xi = x.edges[i] if isinstance(x, Ultrapath) else coordinate(x, i + 1)
-        if xi != y.edges[i]:
+        if coordinate(x, i + 1) != y.edges[i]:
             return False, None
     term = y.terminal
-    if isinstance(x, Ultrapath):
-        if xlen == n:
-            ok = x.terminal.subset_of(term)
-            return (ok, Ultrapath((), x.terminal)) if ok else (False, None)
-        nxt = x.edges[n]
-        ok = g.source_in(nxt, term)
-        return (ok, Ultrapath(x.edges[n:], x.terminal)) if ok else (False, None)
     if xlen == n:
         ok = x.tail.vertices.subset_of(term)
         return (ok, FinitePoint((), x.tail)) if ok else (False, None)

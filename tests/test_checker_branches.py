@@ -12,13 +12,11 @@ from ultrashift.codes import (
     OracleClass,
     RuleMap,
     SchemaClass,
-    SymbolSet,
     check_csc_item_ii,
     check_csc_item_iii,
     check_genchl_iia,
     check_genchl_iib,
     compute_A_x,
-    escaping_edges,
     first_edges_into_class,
 )
 from ultrashift.corpus import build_fixture, d, e, f
@@ -33,7 +31,6 @@ A_W = FA.points["zero"].tail
 ORACLE_B = next(c for c in FA.phi.classes if isinstance(c, OracleClass))
 B_V = ORACLE_B.symbol
 ZERO = FinitePoint((), A_W)
-ALL_E = SymbolSet(HA.epsilon(B_V.vertices), (B_V,))
 
 
 def starts_with(edge):
@@ -49,12 +46,6 @@ def relabel(x):
 
 
 RELABEL = RuleMap(GA, HA, relabel, "relabel by rule")
-
-
-def test_rule_map_escapes_are_sampled():
-    got = escaping_edges(RELABEL, (), A_W, ALL_E)
-    assert got.kind == "under" and not got.exact
-    assert got.edges.is_empty()
 
 
 def test_rule_map_with_no_sampled_escape_holds_on_bounded_evidence():
@@ -86,11 +77,23 @@ def test_oracle_class_first_edges_are_sampled():
     assert got.edges == SymbolicSet.singleton("d", 0)
 
 
-def test_escape_set_through_an_oracle_class_is_mixed():
-    no_tail = SymbolSet(HA.epsilon(B_V.vertices), ())
-    got = escaping_edges(FA.phi, (), A_W, no_tail)
-    assert got.kind == "mixed" and not got.exact
-    assert got.edges == SymbolicSet.singleton("d", 0)
+def test_iia_escape_set_through_an_oracle_class_is_mixed():
+    # into H_d the zero point maps to the tail Q = w[>=1], and the oracle
+    # class of f[-1], which Q does not emit, is read through sampled edges
+    hd = build_fixture("d").target
+    q = next(m for m in hd.minimal_infinite_emitters()[0]
+             if m.vertices.part("w").min() == 1)
+    phi = MapPresentation(GA, hd, [
+        OracleClass(f(-1), starts_with(d())),
+        SchemaClass([PcSchema(1, (VarAtom("f"),), IndexSet.at_least(1))],
+                    family="f", index_domain=IndexSet.at_least(1)),
+        SchemaClass([PcSchema(1, (LitAtom(A_W),))], symbol=q),
+    ], label="d by oracle into H_d")
+    v = check_genchl_iia(phi, ZERO)
+    assert v.status == "holds" and not v.exact
+    assert v.detail == ("finite escape set F' = {d[0]}; oracle classes "
+                        "sampled; bounded evidence only")
+    assert v.witness == SymbolicSet.singleton("d", 0)
 
 
 def test_item_ii_through_an_oracle_class_holds_on_bounded_evidence():

@@ -18,7 +18,6 @@ from ultrashift.codes import (
     check_genchl_iia,
     check_genchl_iib,
     check_length_preserving,
-    check_period_preservation,
     compute_A_x,
     eval_map,
     eval_resolved,
@@ -222,19 +221,8 @@ def test_finite_image_bound_when_tail_maps_to_length_zero():
 
 def test_commuting_holds_for_fixture_maps():
     for fx in (FA, FB, FD):
-        verdict = check_commuting(fx.phi, fx.sample_pool(30), depth=16)
+        verdict = check_commuting(fx.phi, fx.sample_pool(30))
         assert verdict.status == "holds", str(verdict)
-
-
-def test_prepending_map_does_not_commute():
-    from ultrashift.points import concat
-
-    def prepend(x):
-        return concat(GA, Ultrapath((d(),), GA.range_of(d())), x)
-
-    verdict = check_commuting(prepend, [PeriodicPoint((), (f(2),))], depth=8)
-    assert verdict.status == "fails"
-    assert verdict.witness[1] == 1
 
 
 def test_a_presented_map_is_evaluated_once_per_sample(monkeypatch):
@@ -247,7 +235,7 @@ def test_a_presented_map_is_evaluated_once_per_sample(monkeypatch):
         pool = fx.sample_pool(20)
         for phi in (fx.phi, RuleMap(fx.source, fx.target, fx.phi.symbol_at)):
             asked.clear()
-            verdict = check_commuting(phi, pool, depth=12)
+            verdict = check_commuting(phi, pool)
             assert asked == pool
             assert verdict.status == "holds" and verdict.exact
             assert verdict.bounds == {"samples": len(pool)}
@@ -261,13 +249,14 @@ def test_a_sample_the_map_refuses_escapes_the_commuting_check():
         check_commuting(RuleMap(FA.source, FA.target, rule), FA.sample_pool(3))
 
 
-def test_period_preservation_examples():
-    v = check_period_preservation(FA.phi, PeriodicPoint((), (d(),)))
-    assert v.status == "holds"
-    v0 = check_period_preservation(FA.phi, FinitePoint((), A_W))
-    assert v0.status == "holds"
-    v2 = check_period_preservation(FD.phi, PeriodicPoint((), (e(2),)))
-    assert v2.status == "holds"
+def test_exactly_periodic_points_keep_their_period():
+    # a shift commuting map sends a point of period p to one of period p
+    for phi, x, p in ((FA.phi, PeriodicPoint((), (d(),)), 1),
+                      (FA.phi, FinitePoint((), A_W), 1),
+                      (FD.phi, PeriodicPoint((), (e(2),)), 1),
+                      (FD.phi, PeriodicPoint((), (e(1), e(0))), 2)):
+        y = eval_resolved(phi, x)
+        assert shift_n(y, p) == y, (x, y)
     assert eval_resolved(FD.phi, PeriodicPoint((), (e(2),))) == \
         PeriodicPoint((), (f(2),))
 
@@ -403,6 +392,28 @@ def test_item_ii_constant_map_needs_no_exclusions():
     v = check_csc_item_ii(phi, FinitePoint((), A_W),
                           SymbolicSet.singleton("e", 3))
     assert v.status == "holds" and v.witness.is_empty()
+
+
+def test_item_ii_at_a_positive_length_finite_point():
+    fx = build_fixture("c")
+    phi = fx.maps["phi_finite"]
+    a_tail = fx.points["zero"].tail
+    x_bar = FinitePoint((d(),), a_tail)
+    img = eval_resolved(phi, x_bar)
+    assert img.path == (e(1),)
+    F = SymbolicSet.singleton("e", 3)
+    v = check_csc_item_ii(phi, x_bar, F)
+    assert v.status == "holds"
+    # f[2] is the only extension mapping onto the excluded e[3]
+    assert v.witness == SymbolicSet.singleton("f", 2)
+    source_cyl = Cylinder(Ultrapath((), a_tail.vertices), v.witness)
+    target_cyl = Cylinder(Ultrapath((), img.tail.vertices), F)
+    rng = random.Random(1)
+    for _ in range(30):
+        x = sampling.random_point(phi.source, rng)
+        if cylinder_contains(phi.source, source_cyl, x):
+            assert cylinder_contains(phi.target, target_cyl,
+                                     eval_resolved(phi, x))
 
 
 def test_genchl_iia_on_fixture_a():

@@ -1,6 +1,7 @@
-"""Guard against dead private helpers and dead helper parameters in the
-package, and against checks that depend on how Python is run; and keep
-the tests' shared code in helper modules."""
+"""Guard against dead private helpers, dead helper parameters and public
+definitions that only tests reach in the package, and against checks that
+depend on how Python is run; and keep the tests' shared code in helper
+modules."""
 
 import ast
 import pathlib
@@ -28,15 +29,22 @@ def _private_defs_and_uses():
                 methods += [(path.name, m) for m in node.body
                             if isinstance(m, ast.FunctionDef) and
                             _is_private(m.name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.append((path.name, node.lineno, node.id))
-            elif isinstance(node, ast.Attribute):
-                uses.append((path.name, node.lineno, node.attr))
-            elif isinstance(node, ast.ImportFrom):
-                uses.extend((path.name, node.lineno, a.name)
-                            for a in node.names)
+        uses += _names_read(path.name, tree)
     return defs, methods, uses
+
+
+def _names_read(module, tree) -> list:
+    """(module, line, name) for every name, attribute and imported name
+    the module's tree reads; its docstrings read none."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.append((module, node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            uses.append((module, node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            uses.extend((module, node.lineno, a.name) for a in node.names)
+    return uses
 
 
 def _unreferenced(defs, uses) -> list:
@@ -61,6 +69,50 @@ def test_every_private_method_is_referenced():
     _, methods, uses = _private_defs_and_uses()
     assert methods, "no private methods found; is the package path right?"
     assert _unreferenced(methods, uses) == []
+
+
+# public definitions that nothing in the package, the benchmark or the
+# tools reads, each kept for the acceptance criterion or ROADMAP item that
+# reads it
+KEEP_UNREAD = {
+    "compute_A_x": "acceptance criterion 10 checks the extension-edge set",
+    "decompose_cylinder": "acceptance criterion 2 checks the decomposition",
+    "cylinder_contains": "acceptance criteria 2 and 3 read membership",
+    "random_cylinder": "acceptance criteria 2 and 3 draw their cylinders",
+    "shift_cylinder": "acceptance criterion 3 checks the shift image law",
+    "validate_fd_presentation": "acceptance criterion 8 validates "
+                                "class presentations",
+    "schema_intersect": "ROADMAP item 9 reads disjointness of longer "
+                        "windows through it",
+    "neighborhood_basis": "ROADMAP items 1 and 13 read neighborhoods as "
+                          "cylinders",
+    "print_document": "ROADMAP item 6 extends it to maps",
+}
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # what only tests reach is no part of the package: every public
+    # top-level definition is read in the package (not its __init__),
+    # bench/ or tools/ (not their tests), or kept for what KEEP_UNREAD says
+    root = PACKAGE.parent.parent
+    modules = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"]
+    readers = modules + [p for tree in ("bench", "tools")
+                         for p in sorted((root / tree).rglob("*.py"))
+                         if not p.name.startswith("test_")]
+    uses, defs = [], []
+    for path in readers:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = str(path.relative_to(root))
+        uses += _names_read(where, tree)
+        if path in modules:
+            defs += [(where, node) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_")]
+    unread = _unreferenced(defs, uses)
+    assert [u for u in unread if u.split()[-1] not in KEEP_UNREAD] == []
+    # a kept name that gains a reader leaves the dict
+    assert sorted(u.split()[-1] for u in unread) == sorted(KEEP_UNREAD)
 
 
 def _parameters(node):

@@ -10,6 +10,7 @@ import pytest
 
 import ultrashift
 
+from helpers_graphs import finite_cycle_graph
 from ultrashift.corpus import (
     d,
     f,
@@ -17,7 +18,6 @@ from ultrashift.corpus import (
     graph_a_source,
     graph_b,
     graph_d_target,
-    finite_cycle_graph,
 )
 from ultrashift.definable import (
     EMPTY_PC,
@@ -30,19 +30,16 @@ from ultrashift.definable import (
     SetOracle,
     VarAtom,
     decompose_cylinder,
-    fd_intersect,
-    fd_union,
     match_schema,
-    pc_contains,
-    pseudo_cylinder,
     refute_finitely_defined,
     sample_points,
     schema_intersect,
     side_matches,
     validate_fd_presentation,
 )
-from ultrashift.intsets import IndexSet, SymbolicSet
-from ultrashift.paths import Block, Ultrapath
+from ultrashift.graphs import EdgeRef
+from ultrashift.intsets import IndexSet, SymbolicSet, shift_map
+from ultrashift.paths import Ultrapath
 from ultrashift.points import (
     Cylinder,
     FinitePoint,
@@ -67,9 +64,9 @@ ALL_ZERO = PeriodicPoint((), (n(0),))
 
 
 def test_plain_pseudo_cylinder_membership():
-    pc = pseudo_cylinder(Block((d(), d(), f(1))), 1)
-    assert pc_contains(pc, PeriodicPoint((d(), d()), (f(1),)))
-    assert not pc_contains(pc, PeriodicPoint((d(),), (f(1),)))
+    pc = PcSchema(1, tuple(LitAtom(s) for s in (d(), d(), f(1))))
+    assert match_schema(pc, PeriodicPoint((d(), d()), (f(1),))) is not None
+    assert match_schema(pc, PeriodicPoint((d(),), (f(1),))) is None
 
 
 def test_rep_schema_reports_parameter_and_count():
@@ -82,26 +79,24 @@ def test_rep_schema_reports_parameter_and_count():
 
 def test_emitter_tail_symbols_are_matchable():
     pc = PcSchema(1, (LitAtom(A_W), LitAtom(A_W)))
-    assert pc_contains(pc, FinitePoint((), A_W))
-    assert not pc_contains(pc, ALL_D)
+    assert match_schema(pc, FinitePoint((), A_W)) is not None
+    assert match_schema(pc, ALL_D) is None
 
 
 def test_schema_anchored_past_the_start():
     pc = PcSchema(2, (LitAtom(f(1)),))
-    assert pc_contains(pc, PeriodicPoint((d(),), (f(1),)))
-    assert not pc_contains(pc, PeriodicPoint((f(1), d()), (f(2),)))
+    assert match_schema(pc, PeriodicPoint((d(),), (f(1),))) is not None
+    assert match_schema(pc, PeriodicPoint((f(1), d()), (f(2),))) is None
 
 
 def test_rep_then_emitter_tail():
     s = PcSchema(1, (RepAtom(d()), LitAtom(A_W)))
     m = match_schema(s, FinitePoint((d(), d()), A_W))
     assert m is not None and m.rep_count == 2 and m.param is None
-    assert not pc_contains(s, ALL_D)
+    assert match_schema(s, ALL_D) is None
 
 
 def test_var_schema_solves_affine_index():
-    from ultrashift.intsets import shift_map
-
     s = PcSchema(1, (VarAtom("f", shift_map(1)),), IndexSet.at_least(1))
     m = match_schema(s, PeriodicPoint((), (f(4),)))
     assert m is not None and m.param == 3
@@ -109,7 +104,7 @@ def test_var_schema_solves_affine_index():
 
 
 def test_empty_pseudo_cylinder_matches_nothing():
-    assert not pc_contains(EMPTY_PC, ALL_D)
+    assert match_schema(EMPTY_PC, ALL_D) is None
 
 
 def test_schema_constraints_enforced():
@@ -196,39 +191,21 @@ def test_overlapping_presentation_is_rejected():
     # complete coverage, but d-starting points land on both sides
     cover_rest = (PcSchema(1, (VarAtom("f"),), GA.edge_domain("f")),
                   PcSchema(1, (LitAtom(A_W),)))
-    pres = FdPresentation((pseudo_cylinder(Block((d(),)), 1),) + cover_rest,
-                          (pseudo_cylinder(Block((d(),)), 1),))
+    starts_d = PcSchema(1, (LitAtom(d()),))
+    pres = FdPresentation((starts_d,) + cover_rest, (starts_d,))
     verdict = validate_fd_presentation(GA, pres)
     assert verdict.status == "fails" and "both sides" in verdict.detail
-    assert verdict.witness is not None and pc_contains(
-        pseudo_cylinder(Block((d(),)), 1), verdict.witness)
+    assert verdict.witness is not None and \
+        match_schema(starts_d, verdict.witness) is not None
 
 
 def test_uncovered_presentation_is_rejected():
-    pres = FdPresentation((pseudo_cylinder(Block((d(),)), 1),), ())
+    pres = FdPresentation((PcSchema(1, (LitAtom(d()),)),), ())
     verdict = validate_fd_presentation(GA, pres)
     assert verdict.status == "fails" and "neither side" in verdict.detail
 
 
-# -- union / intersection ---------------------------------------------------------
-
-
-def test_fd_union_and_intersection_revalidate():
-    rng = random.Random(9)
-    for g in (GA, HD):
-        d1 = decompose_cylinder(g, sampling.random_cylinder(g, rng))
-        d2 = decompose_cylinder(g, sampling.random_cylinder(g, rng))
-        union = fd_union(g, d1, d2)
-        inter = fd_intersect(g, d1, d2)
-        for x in sample_points(g, FdBounds(depth=2, index_bound=3,
-                                           samples=20, seed=3)):
-            in1, in2 = d1.member(x), d2.member(x)
-            assert union.member(x) == (in1 or in2)
-            assert (side_matches(union.negative, x) is not None) == (
-                not (in1 or in2))
-            assert inter.member(x) == (in1 and in2)
-            assert (side_matches(inter.negative, x) is not None) == (
-                not (in1 and in2))
+# -- schema intersection ----------------------------------------------------------
 
 
 def test_schema_intersection_ties_parameters():
@@ -242,21 +219,52 @@ def test_schema_intersection_ties_parameters():
 
 def test_schema_intersection_with_literal_fixes_parameter():
     s1 = PcSchema(1, (VarAtom("f"),), IndexSet.at_least(1))
-    s2 = pseudo_cylinder(Block((f(7),)), 1)
+    s2 = PcSchema(1, (LitAtom(f(7)),))
     got = schema_intersect(GA, s1, s2)
     assert len(got) == 1 and got[0].atoms == (LitAtom(f(7)),)
-    s3 = pseudo_cylinder(Block((d(),)), 1)
+    s3 = PcSchema(1, (LitAtom(d()),))
     assert schema_intersect(GA, s1, s3) == []
 
 
 def test_schema_intersection_disjoint_windows_fills_gap():
-    s1 = pseudo_cylinder(Block((d(),)), 1)
-    s2 = pseudo_cylinder(Block((f(1),)), 3)
+    s1 = PcSchema(1, (LitAtom(d()),))
+    s2 = PcSchema(3, (LitAtom(f(1)),))
     got = schema_intersect(GA, s1, s2, index_bound=2)
     x = PeriodicPoint((d(), d()), (f(1),))
-    assert any(pc_contains(s, x) for s in got)
+    assert any(match_schema(s, x) is not None for s in got)
     y = PeriodicPoint((f(1), d()), (f(1),))
-    assert not any(pc_contains(s, y) for s in got)
+    assert all(match_schema(s, y) is None for s in got)
+
+
+def test_schema_intersection_agrees_with_conjunction_on_samples():
+    rng = random.Random(8)
+    for g in (GA, HD):
+        pool = sample_points(g, FdBounds(depth=3, index_bound=3, samples=25))
+        fams = list(g.edge_families)
+        for _ in range(40):
+            def rand_schema():
+                atoms = []
+                dom = None
+                for _ in range(rng.randint(1, 2)):
+                    famx = rng.choice(fams)
+                    if rng.random() < 0.5 and dom is None:
+                        atoms.append(VarAtom(famx, rng.choice(
+                            [shift_map(0), shift_map(1)])))
+                        a = rng.randint(-2, 2)
+                        dom = rng.choice([IndexSet.at_least(a),
+                                          IndexSet.at_most(a)])
+                    else:
+                        idx = rng.choice(g.edge_domain(famx).sample(4))
+                        atoms.append(LitAtom(EdgeRef(famx, idx)))
+                return PcSchema(rng.randint(1, 2), tuple(atoms), dom)
+
+            s1, s2 = rand_schema(), rand_schema()
+            merged = schema_intersect(g, s1, s2, index_bound=4)
+            for x in pool:
+                both = (match_schema(s1, x) is not None and
+                        match_schema(s2, x) is not None)
+                got = any(match_schema(m, x) is not None for m in merged)
+                assert got == both, (g.name, s1, s2, x)
 
 
 # -- refutation -------------------------------------------------------------------

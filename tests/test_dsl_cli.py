@@ -19,7 +19,7 @@ from ultrashift.corpus import (
 )
 from ultrashift.definable import LitAtom, PcSchema, VarAtom
 from ultrashift.intsets import AffineIndexMap, IndexSet
-from ultrashift.points import FinitePoint, PeriodicPoint
+from ultrashift.points import FinitePoint, PeriodicPoint, RepeatFamily
 
 GRAPH_D = """
 ultragraph G {
@@ -111,6 +111,22 @@ def test_guards_must_partition():
 def test_empty_document_parses():
     doc = dsl.parse("")
     assert doc.graphs == {} and doc.maps == {} and doc.points == {}
+
+
+def test_duplicate_definitions_are_rejected():
+    text = """
+    ultragraph G {
+      vertices w over [0..0]
+      edges d over [0..0] { source w[0] range w[0] }
+    }
+    ultragraph G {
+      vertices w over [0..0]
+      edges d over [0..0] { source w[0] range w[0] }
+    }
+    """
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse(text)
+    assert "already defined" in str(err.value)
 
 
 def test_errors_carry_position_and_hint():
@@ -440,6 +456,38 @@ def test_a_point_the_map_cannot_read_is_a_usage_error(point, message,
     assert out.err.startswith(message) and not out.out
 
 
+def test_a_sequence_of_another_graph_is_a_usage_error(capsys):
+    # a.dn_f1 runs through the d-loop of G, as the point all_e0 lies in G
+    path = str(DOCS[0].parent / "example_a.ug")
+    argv = ["converge", path, "--seq", "a.dn_f1", "--target"]
+    assert main(argv + ["inf: (e[1])*", "--graph", "H"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("error: term 1 of 'a.dn_f1' is not a point "
+                              "of H: edge d[0] does not exist")
+    assert not out.out
+    assert main(argv + ["target", "--graph", "G"]) == 0
+    detail = "; ".join(f"prefix agreement to depth {k}: satisfied for "
+                       f"n>{k - 1}" for k in range(1, 9))
+    assert capsys.readouterr().out == (
+        f"[{'holds':>14}] converge(a.dn_f1) | {detail} | "
+        "bounds: m_max=8, n_max=32, f_list=[]\n")
+
+
+def test_a_sequence_whose_block_does_not_wrap_is_a_usage_error(
+        h_file, monkeypatch, capsys):
+    # f[-2] f[-1] (f[1])* is a point of H, but f[-2] does not follow f[-2],
+    # so the second term is not
+    reg = registry()
+    reg["h.runs"] = RepeatFamily((f(-2),), PeriodicPoint((f(-1),), (f(1),)))
+    monkeypatch.setattr(corpus, "registry", lambda: reg)
+    assert main(["converge", h_file, "--seq", "h.runs", "--target",
+                 "inf: f[-1] (f[1])*"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("error: term 2 of 'h.runs' is not a point of "
+                              "H: f[-2] does not connect to f[-2]")
+    assert not out.out
+
+
 def test_a_document_point_off_the_graph_is_a_positioned_parse_error():
     text = GRAPH_H + "point bad of H = inf: f[1] (f[2])*\n"
     with pytest.raises(dsl.ParseError) as err:
@@ -481,6 +529,20 @@ def test_cli_refute_fd_with_audit(doc_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "window witnesses" in out and "audit" in out
+
+
+def test_refute_fd_at_a_point_outside_the_set_is_an_error_record(capsys):
+    path = str(DOCS[0].parent / "example_a.ug")
+    argv = ["refute-fd", path, "--graph", "H", "--oracle", "a.C_B",
+            "--point", "inf: (e[1])*"]
+    detail = "PointError: refutation needs a point inside the set"
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"[{'error':>14}] refute-fd(a.C_B) | {detail}"]
+    assert main(argv + ["--format", "json"]) == 1
+    [record] = json.loads(capsys.readouterr().out)["records"]
+    assert (record["check"], record["status"], record["detail"]) == \
+        ("refute-fd(a.C_B)", "error", detail)
 
 
 def test_cli_converge(doc_file, capsys):

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from helpers_graphs import finite_cycle_graph, graph_sinky
+from helpers_random import random_family_graph
 from ultrashift.corpus import (
     build_fixture,
     f,
@@ -14,8 +16,6 @@ from ultrashift.corpus import (
     graph_b,
     graph_d_source,
     graph_d_target,
-    graph_sinky,
-    finite_cycle_graph,
 )
 from ultrashift import graphs, sampling
 from ultrashift.definable import SchemaError, decompose_cylinder
@@ -248,6 +248,37 @@ def test_is_in_g0_matches_brute_force_on_finite_graph():
                for m in [{("u", 0)}, {("u", 0), ("u", 1)}])
 
 
+def test_yes_witnesses_reconstruct_the_queried_set():
+    rng = random.Random(5)
+    randoms = [random_family_graph(rng, i) for i in range(6)]
+    for g in [graph_a_source(), graph_d_target(),
+              build_fixture("d").source] + randoms:
+        for _ in range(40):
+            parts = []
+            fam = rng.choice(list(g.vertex_families))
+            dom = g.vertex_families[fam]
+            for _ in range(rng.randint(1, 3)):
+                pick = rng.random()
+                a = rng.choice(dom.sample(6))
+                if pick < 0.4:
+                    parts.append((fam, IndexSet.of(a)))
+                elif pick < 0.7:
+                    parts.append((fam, IndexSet.at_least(a).intersect(dom)))
+                else:
+                    parts.append((fam, IndexSet.at_most(a).intersect(dom)))
+            target = SymbolicSet.of(*parts)
+            verdict, info = g.is_in_g0(target)
+            if verdict == "yes":
+                cores, rest = info
+                rebuilt = rest
+                for core, _label in cores:
+                    rebuilt = rebuilt.union(core)
+                assert rebuilt == target
+                assert rest.is_finite()
+            elif verdict == "no":
+                assert isinstance(info, str)
+
+
 # -- minimal infinite emitters ----------------------------------------------
 
 
@@ -322,8 +353,8 @@ def test_unsaturated_closure_gives_incomplete_answers(monkeypatch):
 
 def test_minimal_emitters_in_range():
     h = graph_d_target()
-    in_q, _ = h.minimal_emitters_in(h.range_of(f(-1)))
-    assert [m.vertices for m in in_q] == [Q]
+    in_q, complete = h.minimal_emitters_in(h.range_of(f(-1)))
+    assert complete and [m.vertices for m in in_q] == [Q]
     in_single, _ = h.minimal_emitters_in(h.range_of(f(-3)))
     assert in_single == []
     g = graph_a_source()

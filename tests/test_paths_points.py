@@ -17,15 +17,7 @@ from ultrashift.corpus import (
 )
 from ultrashift.graphs import EdgeRef, MinimalEmitter
 from ultrashift.intsets import INFINITE, IndexSet, SymbolicSet
-from ultrashift.paths import (
-    Block,
-    PathError,
-    Ultrapath,
-    concat_paths,
-    enumerate_blocks,
-    validate_block,
-    validate_ultrapath,
-)
+from ultrashift.paths import PathError, Ultrapath, enumerate_blocks
 from ultrashift.points import (
     ConvergenceBounds,
     Cylinder,
@@ -44,6 +36,7 @@ from ultrashift.points import (
     prefix,
     shift,
     shift_cylinder,
+    shift_n,
     validate_point,
 )
 from ultrashift import paths, sampling
@@ -68,38 +61,20 @@ def test_fixture_emitter_names():
 # -- ultrapaths ---------------------------------------------------------------
 
 
-def test_ultrapath_validation():
-    up = Ultrapath((f(-2), f(-1)), Q.vertices)
-    assert validate_ultrapath(HD, up) == []
-    bad = Ultrapath((f(-2), f(-3)), SymbolicSet.singleton("w", -2))
-    assert any("range" in p or "source" in p for p in validate_ultrapath(HD, bad))
-
-
 def test_concat_zero_length_left_factor_disappears():
     x = Ultrapath((), A_W.vertices)
-    y = Ultrapath((d(),), A_W.vertices)
-    assert concat_paths(GA, x, y) == y
     z = PeriodicPoint((), (d(),))
     assert concat(GA, x, z) == z
 
 
-def test_concat_zero_length_right_factor_replaces_terminal():
+def test_concat_zero_length_right_factor_keeps_its_tail():
     x = Ultrapath((d(),), GA.range_of(d()))
-    y = Ultrapath((), A_W.vertices)
-    assert concat_paths(GA, x, y) == Ultrapath((d(),), A_W.vertices)
-
-
-def test_concat_of_paths_in_graph_d_target():
-    x = Ultrapath((f(-2),), SymbolicSet.singleton("w", -1))
-    y = Ultrapath((f(-1),), Q.vertices)
-    assert concat_paths(HD, x, y) == Ultrapath((f(-2), f(-1)), Q.vertices)
+    assert concat(GA, x, FinitePoint((), A_W)) == FinitePoint((d(),), A_W)
 
 
 def test_concat_incompatible_raises():
+    # source w[3] of f[3], and the tail P, are not in {w[-1]}
     x = Ultrapath((f(-2),), SymbolicSet.singleton("w", -1))
-    y = Ultrapath((f(3),), HD.range_of(f(3)))  # source w[3] not in {w[-1]}
-    with pytest.raises(PathError):
-        concat_paths(HD, x, y)
     for pt in (FinitePoint((f(3),), Q), FinitePoint((), P)):
         with pytest.raises(PathError):
             concat(HD, x, pt)
@@ -130,39 +105,40 @@ def test_concat_with_points():
 def test_concat_lengths_add():
     rng = random.Random(7)
     for _ in range(30):
-        walk = sampling.random_walk(HD, rng, 5)
-        cut = rng.randint(1, len(walk) - 1) if len(walk) > 1 else 1
-        left = Ultrapath(tuple(walk[:cut]), HD.range_of(walk[cut - 1]))
-        right = Ultrapath(tuple(walk[cut:]),
-                          HD.range_of(walk[-1]) if walk[cut:] else left.terminal)
-        if not right.edges:
+        pt = sampling.random_point(HD, rng)
+        if length(pt) == 0:
             continue
-        whole = concat_paths(HD, left, right)
-        assert len(whole) == len(left) + len(right)
+        cut = rng.randint(1, 3 if length(pt) == INFINITE else int(length(pt)))
+        edges = tuple(coordinate(pt, i) for i in range(1, cut + 1))
+        left = Ultrapath(edges, HD.range_of(edges[-1]))
+        right = shift_n(pt, cut)
+        whole = concat(HD, left, right)
+        assert whole == pt
+        assert length(whole) == len(left) + length(right)
 
 
 def test_concat_associative_on_sampled_triples():
+    # (a b) z = a (b z) for ultrapaths a, b and a point z
     rng = random.Random(11)
     for _ in range(30):
-        walk = sampling.random_walk(GD, rng, 6)
-        if len(walk) < 3:
+        pt = sampling.random_point(GD, rng)
+        if length(pt) < 3:
             continue
-        a, b, c = walk[:1], walk[1:2], walk[2:]
-        ua = Ultrapath(tuple(a), GD.range_of(a[-1]))
-        ub = Ultrapath(tuple(b), GD.range_of(b[-1]))
-        uc = Ultrapath(tuple(c), GD.range_of(c[-1]))
-        lhs = concat_paths(GD, concat_paths(GD, ua, ub), uc)
-        rhs = concat_paths(GD, ua, concat_paths(GD, ub, uc))
-        assert lhs == rhs
+        a, b = coordinate(pt, 1), coordinate(pt, 2)
+        ua = Ultrapath((a,), GD.range_of(a))
+        ub = Ultrapath((b,), GD.range_of(b))
+        uab = Ultrapath((a, b), GD.range_of(b))
+        z = shift_n(pt, 2)
+        assert concat(GD, uab, z) == concat(GD, ua, concat(GD, ub, z)) == pt
 
 
 # -- prefix -------------------------------------------------------------------
 
 
-def test_prefix_of_itself_returns_terminal_remainder():
+def test_a_finite_points_path_is_a_prefix_with_its_tail_as_remainder():
     up = Ultrapath((f(-2), f(-1)), Q.vertices)
-    ok, rem = is_prefix(HD, up, up)
-    assert ok and rem == Ultrapath((), Q.vertices)
+    ok, rem = is_prefix(HD, up, FinitePoint(up.edges, Q))
+    assert ok and rem == FinitePoint((), Q)
 
 
 def test_zero_length_prefix_of_infinite_point():
@@ -222,14 +198,6 @@ def test_emitter_blocks_repeat():
     assert (d(), A_W) in got
     assert all(not (isinstance(s1, MinimalEmitter) and s1 != s2)
                for s1, s2 in got if isinstance(s1, MinimalEmitter))
-
-
-def test_block_validation_rules():
-    assert validate_block(HD, Block((f(-2), f(-1), Q))) == []
-    assert validate_block(HD, Block((Q, Q))) == []
-    assert validate_block(HD, Block((Q, f(1)))) != []      # emitter then edge
-    assert validate_block(HD, Block((f(-2), Q))) != []     # Q not inside {w[-1]}
-    assert validate_block(HD, Block((f(-2), f(-3)))) != []
 
 
 def test_every_enumerated_block_has_a_point_witness():

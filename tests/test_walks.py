@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from helpers_graphs import finite_cycle_graph
 from helpers_maps import localizable, random_window_maps, window_map
 from helpers_oracle import (CAPS, apply_cap, asking, fresh, outcome,
                             reference_eval, reference_walk)
@@ -27,8 +28,7 @@ from ultrashift import dsl, graphs, sampling
 from ultrashift.codes import (MapError, MapPresentation, OracleClass,
                               PartitionError, RuleMap, SchemaClass,
                               _try_point, _window_symbols)
-from ultrashift.corpus import (build_fixture, d, e, f, finite_cycle_graph,
-                               registry)
+from ultrashift.corpus import build_fixture, d, e, f, registry
 from ultrashift.definable import LitAtom, PcSchema, RepAtom, VarAtom
 from ultrashift.graphs import EdgeRef, MinimalEmitter
 from ultrashift.intsets import IndexSet
