@@ -61,6 +61,13 @@ def test_fixture_emitter_names():
 # -- ultrapaths ---------------------------------------------------------------
 
 
+def test_ultrapath_validation():
+    # a path is checked as the point it starts: consecutive edges must meet
+    assert validate_point(HD, FinitePoint((f(-2), f(-1)), Q)) == []
+    bad = validate_point(HD, FinitePoint((f(-2), f(-3)), P))
+    assert f"{f(-2)} does not connect to {f(-3)}" in bad
+
+
 def test_concat_zero_length_left_factor_disappears():
     x = Ultrapath((), A_W.vertices)
     z = PeriodicPoint((), (d(),))
@@ -70,6 +77,12 @@ def test_concat_zero_length_left_factor_disappears():
 def test_concat_zero_length_right_factor_keeps_its_tail():
     x = Ultrapath((d(),), GA.range_of(d()))
     assert concat(GA, x, FinitePoint((), A_W)) == FinitePoint((d(),), A_W)
+
+
+def test_concat_of_paths_in_graph_d_target():
+    x = Ultrapath((f(-2),), SymbolicSet.singleton("w", -1))
+    y = FinitePoint((f(-1),), Q)
+    assert concat(HD, x, y) == FinitePoint((f(-2), f(-1)), Q)
 
 
 def test_concat_incompatible_raises():
@@ -190,6 +203,18 @@ def test_blocks_of_length_two_in_graph_d_target():
     assert (f(-2), f(-1)) in got
     assert (f(-1), Q) in got
     assert (f(-2), f(-3)) not in got
+
+
+def test_block_validation_rules():
+    # emitters only as a trailing run inside the last edge's range, and
+    # consecutive edges adjacent
+    two = {b.symbols for b in enumerate_blocks(HD, 2, 3)}
+    three = {b.symbols for b in enumerate_blocks(HD, 3, 3)}
+    assert (f(-2), f(-1), Q) in three
+    assert (Q, Q) in two
+    assert (Q, f(1)) not in two         # emitter then edge
+    assert (f(-2), Q) not in two        # Q not inside {w[-1]}
+    assert (f(-2), f(-3)) not in two
 
 
 def test_emitter_blocks_repeat():
